@@ -1,33 +1,21 @@
 (* Regenerates the golden files under test/golden/ from the current export
-   code. Run from the repository root after an intentional format change:
+   code, one report and one trace per case in [Golden_cases.cases]. Run from
+   the repository root after an intentional format change:
 
      dune exec test/gen_golden.exe
 
    and review the diff before committing. *)
 
-open Msdq_fed
-open Msdq_query
-open Msdq_exec
-open Msdq_exp
-module Json = Msdq_obs.Json
-
 let write path contents =
-  let oc = open_out path in
+  let oc = open_out_bin path in
   output_string oc contents;
   close_out oc;
   Printf.printf "wrote %s\n" path
 
 let () =
-  let ex = Paper_example.build () in
-  let fed = ex.Paper_example.federation in
-  let analysis =
-    Analysis.analyze
-      (Global_schema.schema (Federation.global_schema fed))
-      (Parser.parse Paper_example.q1)
-  in
-  let answer, m = Strategy.run Strategy.Bl fed analysis in
-  write "test/golden/bl_q1_report.json"
-    (Json.to_string ~indent:2 (Run_report.run_to_json answer m) ^ "\n");
-  let sim_only = { m with Strategy.host_spans = [] } in
-  write "test/golden/bl_q1_trace.json"
-    (Json.to_string ~indent:2 (Run_report.chrome_trace [ sim_only ]) ^ "\n")
+  List.iter
+    (fun case ->
+      List.iter
+        (fun (file, contents) -> write ("test/golden/" ^ file) contents)
+        (Golden_cases.exports case))
+    Golden_cases.cases

@@ -1,11 +1,12 @@
 (* Exportable run reports: golden files for the JSON metrics document and
    the Chrome trace, plus the bench schema validator.
 
-   The golden tests pin the exact bytes of the exports. Everything fed into
-   them is deterministic: simulated times, counter values, stable JSON field
-   order. Host spans carry wall-clock timestamps, so the trace golden runs
-   with host spans stripped. To regenerate after an intentional format
-   change: dune exec test/gen_golden.exe. *)
+   The golden tests pin the exact bytes of the exports for every run in
+   [Golden_cases.cases]. Everything fed into them is deterministic:
+   simulated times, counter values, stable JSON field order. Host spans
+   carry wall-clock timestamps, so the trace goldens run with host spans
+   stripped. To regenerate after an intentional format change:
+   dune exec test/gen_golden.exe. *)
 
 open Msdq_fed
 open Msdq_query
@@ -29,20 +30,23 @@ let read_file path =
   close_in ic;
   s
 
-let test_metrics_golden () =
-  let answer, m = bl_run () in
-  let got = Json.to_string ~indent:2 (Run_report.run_to_json answer m) ^ "\n" in
-  let want = read_file "golden/bl_q1_report.json" in
-  Alcotest.(check string) "report bytes" want got
+(* Every case in [Golden_cases.cases] pins both exports; the two tests
+   below walk the table, one export each. *)
+let check_goldens ~suffix =
+  List.iter
+    (fun (case : Golden_cases.case) ->
+      List.iter
+        (fun (file, got) ->
+          if Filename.check_suffix file suffix then
+            Alcotest.(check string) (file ^ " bytes")
+              (read_file ("golden/" ^ file))
+              got)
+        (Golden_cases.exports case))
+    Golden_cases.cases
 
-let test_trace_golden () =
-  let _, m = bl_run () in
-  let sim_only = { m with Strategy.host_spans = [] } in
-  let got =
-    Json.to_string ~indent:2 (Run_report.chrome_trace [ sim_only ]) ^ "\n"
-  in
-  let want = read_file "golden/bl_q1_trace.json" in
-  Alcotest.(check string) "trace bytes" want got
+let test_metrics_golden () = check_goldens ~suffix:"_report.json"
+
+let test_trace_golden () = check_goldens ~suffix:"_trace.json"
 
 (* Acceptance shape: one complete event per engine task, attributed to
    strategy, site (pid) and phase. *)
