@@ -289,6 +289,7 @@ let straggler_study () =
 (* further than single-query response time does.                         *)
 
 let throughput_study () =
+  let module Serve = Msdq_serve.Serve in
   section "throughput";
   Format.printf "Multi-query workloads (extension): 8 queries arrive at a@.";
   Format.printf "fixed interval; all share the simulated sites, so they queue@.";
@@ -327,17 +328,30 @@ let throughput_study () =
         (fun interval_ms ->
           let jobs =
             List.init 8 (fun i ->
-                ( strategy,
-                  List.nth analyses (i mod List.length analyses),
-                  Msdq_simkit.Time.ms (float_of_int i *. interval_ms) ))
+                {
+                  Serve.strategy;
+                  analysis = List.nth analyses (i mod List.length analyses);
+                  arrival = Msdq_simkit.Time.ms (float_of_int i *. interval_ms);
+                  deadline = None;
+                })
           in
-          let out = Strategy.run_concurrent fed jobs in
+          (* caches, batching window and framing off: the plain shared
+             engine *)
+          let out =
+            Serve.run
+              {
+                Serve.default_config with
+                Serve.cache_bytes = 0;
+                window = Msdq_simkit.Time.zero;
+                msg_header_bytes = 0;
+              }
+              fed jobs
+          in
           let latencies =
             List.map
-              (fun q ->
-                Msdq_simkit.Time.to_ms
-                  (Msdq_simkit.Time.sub q.Strategy.completed q.Strategy.started))
-              out.Strategy.queries
+              (fun (r : Serve.query_report) ->
+                Msdq_simkit.Time.to_ms r.Serve.latency)
+              out.Serve.reports
           in
           let mean =
             List.fold_left ( +. ) 0.0 latencies /. float_of_int (List.length latencies)
@@ -345,7 +359,7 @@ let throughput_study () =
           let worst = List.fold_left Float.max 0.0 latencies in
           Format.printf "%-6s %12.0fms %12.1fms %12.1fms %12.1fms@."
             (Strategy.to_string strategy) interval_ms mean worst
-            (Msdq_simkit.Time.to_ms out.Strategy.combined_makespan))
+            (Msdq_simkit.Time.to_ms out.Serve.makespan))
         [ 1000.0; 250.0; 50.0 ])
     [ Strategy.Ca; Strategy.Bl; Strategy.Pl ]
 

@@ -52,6 +52,15 @@ type built = {
           comparisons, measured on a private per-call meter *)
 }
 
+val none : built
+(** No requests, no verdicts, no work: the checks of a strategy that issues
+    none (LO). *)
+
+val batches : request list -> ((string * string) * request list) list
+(** Group requests into one batch per [(origin_db, target_db)] route, in
+    order of each route's first request; a batch keeps its requests in
+    their original order. *)
+
 val build :
   ?signatures:Sig_catalog.t -> ?tracer:Msdq_obs.Tracer.t -> Federation.t ->
   Analysis.t -> db:string -> root_class:string ->

@@ -257,10 +257,9 @@ let apply_site_speeds e speeds =
       Engine.set_speed e ~site ~kind:Resource.Disk ~factor)
     speeds
 
-(* The outcome of a query once its simulated run has finished. Fault-free
-   builders know it at build time; fault-aware builders only learn which
-   transfers were delivered while the engine runs, so the record is produced
-   by a closure evaluated after [Engine.run]. *)
+(* The outcome of a query once its simulated run has finished. Which
+   transfers were delivered is only known once the engine has run, so the
+   record is produced by a closure evaluated after [Engine.run]. *)
 type finished = {
   f_answer : Answer.t;
   f_check_requests : int;
@@ -279,9 +278,400 @@ type built_query = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* CA — phase order O (ship everything) -> I (integrate) -> P (evaluate). *)
+(* Fault-aware execution.
 
-let build_ca e ?after ~acc ~tracer opts fed analysis =
+   When a fault schedule is installed, transfers can be dropped by the
+   engine's judge (destination down at the would-be finish time, or the
+   lossy-link draw fired). The builders below model what the strategies do
+   about it:
+
+   - Every lost attempt charges the simulated clock: the sender waits out a
+     timeout (grown by the retry policy's backoff, capped) and retransmits a
+     fresh transfer task carrying the same bytes.
+   - Check round trips (request shipping and verdict return) retry at most
+     [retry.max_attempts] times, then the batch is abandoned: its verdicts
+     never reach the global site and the affected items are demoted to
+     uncertified maybe results with degraded provenance — LO semantics for
+     exactly those items.
+   - Result and extent shipments are critical: without them there is no
+     answer at all, so they additionally wait out a destination outage (the
+     federation directory knows site status) and only give up when the
+     destination never recovers or a safety cap trips. An abandoned critical
+     transfer turns the whole run into a partial answer: every row is
+     reported as an uncertified maybe result.
+
+   Because drop decisions are a pure hash of the schedule and the transfer's
+   (destination, label, start), retransmissions get distinct labels and the
+   whole execution stays deterministic.
+
+   The leg policy ([leg], [leg_chain], [answer_after]) is the only code that
+   knows whether a transfer can fail. Under [Fault.none] nothing can: a leg
+   is the plain transfer and what follows it hangs off it by static
+   dependency, so the task graph is exactly the fault-free one. Under any
+   other schedule a leg is a retry chain and what follows it is wired from
+   the delivery callback. *)
+
+type fault_ctx = {
+  fallible : bool;  (* the leg policy's switch: the schedule is not empty *)
+  sched : Fault.schedule;
+  fretry : retry;
+  f_timeout_of : int -> Time.t;  (* per-destination effective retry timeout *)
+  mutable f_drops : int;
+  mutable f_retries : int;
+  mutable f_abandoned : int;  (* check requests whose round trip was given up *)
+  mutable f_partial : bool;  (* a critical transfer was abandoned *)
+  mutable f_failovers : int;  (* failover batches dispatched to replicas *)
+  mutable f_hedges : int;  (* hedged duplicate batches dispatched *)
+  mutable f_recovered : int;  (* rows a retry-only run would have demoted *)
+  mutable f_slow : int;  (* delivered round trips over the adaptive threshold *)
+}
+
+let new_fault_ctx options =
+  {
+    fallible = not (Fault.is_none options.fault);
+    sched = options.fault;
+    fretry = options.retry;
+    f_timeout_of =
+      (fun dst ->
+        effective_timeout ?latency_of:options.latency_of options.retry ~dst);
+    f_drops = 0;
+    f_retries = 0;
+    f_abandoned = 0;
+    f_partial = false;
+    f_failovers = 0;
+    f_hedges = 0;
+    f_recovered = 0;
+    f_slow = 0;
+  }
+
+(* A delivered check round trip to [dst] still counts toward tripping the
+   breaker when the destination is gray: its (deterministically) inflated
+   round-trip model exceeds the adaptive latency threshold. Benign
+   per-transfer jitter is deliberately excluded — only the link's persistent
+   inflation factor, the gray signal, trips. *)
+let round_trip_slow fx c ~dst ~bytes =
+  match fx.fretry.adaptive with
+  | None -> false
+  | Some _ -> (
+    match Fault.link_of fx.sched dst with
+    | Some lf when lf.Fault.inflate > 1.0 ->
+      Time.compare
+        (Time.us (Time.to_us (Cost.net c ~bytes) *. lf.Fault.inflate))
+        (fx.f_timeout_of dst)
+      > 0
+    | Some _ | None -> false)
+
+(* Safety cap on critical retry chains: recoverable schedules converge long
+   before this, and a permanent outage is detected directly. *)
+let fault_attempt_cap = 64
+
+let backoff_wait (r : retry) ~base i =
+  let exp = Float.min (float_of_int (i - 1)) 6.0 in
+  Time.us (Time.to_us base *. (r.backoff ** exp))
+
+(* Attempt [i > 1] gets a distinct label so its drop draw is independent of
+   attempt 1's. *)
+let attempt_label label i =
+  if i = 1 then label else Printf.sprintf "%s~retry%d" label i
+
+(* Count one retransmission and start attempt [i + 1] of [label]'s chain
+   once [wait] has elapsed. *)
+let retry_after e fx ~label ~wait attempt i =
+  fx.f_retries <- fx.f_retries + 1;
+  attempt (i + 1) ~deps:[ Engine.delay e ~label:(label ^ ":timeout") ~duration:wait () ]
+
+(* Feed one settled attempt into [dst]'s breaker: a loss is a failure, a
+   delivery over the gray latency threshold is slow, any other delivery is
+   a success. *)
+let feed_breaker e c fx ?breaker ~dst ~bytes delivered =
+  match breaker with
+  | None -> ()
+  | Some b ->
+    if not delivered then Recovery.Breaker.failure b ~site:dst ~at:(Engine.now e)
+    else if round_trip_slow fx c ~dst ~bytes then begin
+      fx.f_slow <- fx.f_slow + 1;
+      Recovery.Breaker.slow b ~site:dst ~at:(Engine.now e)
+    end
+    else Recovery.Breaker.success b ~site:dst
+
+(* A failable transfer with retransmission. Returns a promise that resolves
+   when the chain settles; [k] runs exactly once with whether the payload was
+   ultimately delivered, just before the promise resolves.
+
+   When a [breaker] is supplied (check request legs under a recovery
+   policy), every outcome feeds the breaker's consecutive-failure count for
+   the destination. The breaker never *gates* these primary legs — gating
+   them could abandon a chain the retry-only policy would have delivered,
+   which would break the dominance invariant; only the recovery layer's own
+   extra traffic consults the breaker before dispatching. *)
+let retrying_transfer e acc c fx ?breaker ~critical ~src ~dst ~phase ?db
+    ~label ~bytes ~deps ~k () =
+  let settled = Engine.promise e ~label:(label ^ ":settled") in
+  let finish delivered =
+    if (not delivered) && critical then fx.f_partial <- true;
+    k delivered;
+    Engine.resolve e settled
+  in
+  let cap = if critical then fault_attempt_cap else fx.fretry.max_attempts in
+  let base_timeout = fx.f_timeout_of dst in
+  (match fx.fretry.adaptive with
+  | None -> ()
+  | Some _ ->
+    Metrics.set
+      (Metrics.gauge acc.reg
+         ~labels:[ ("strategy", acc.sname); ("site", string_of_int dst) ]
+         "msdq_adaptive_timeout_us")
+      (Time.to_us base_timeout));
+  let rec attempt i ~deps =
+    ignore
+      (transfer e acc c ~src ~dst ~phase ?db ~label:(attempt_label label i)
+         ~bytes ~deps
+         ~on_outcome:(fun outcome ->
+           let delivered =
+             match outcome with Engine.Delivered -> true | Engine.Dropped _ -> false
+           in
+           feed_breaker e c fx ?breaker ~dst ~bytes delivered;
+           if delivered then finish true
+           else begin
+             fx.f_drops <- fx.f_drops + 1;
+             if i >= cap then finish false
+             else begin
+               let now = Engine.now e in
+               let wait =
+                 if critical && Fault.site_down fx.sched ~site:dst ~at:now then
+                   (* Wait for the destination to come back rather than
+                      hammering a site known to be down. *)
+                   match Fault.next_up fx.sched ~site:dst ~at:now with
+                   | None -> None  (* it never does *)
+                   | Some up -> Some (Time.add (Time.sub up now) base_timeout)
+                 else Some (backoff_wait fx.fretry ~base:base_timeout i)
+               in
+               match wait with
+               | None -> finish false
+               | Some wait -> retry_after e fx ~label ~wait attempt i
+             end
+           end)
+         ())
+  in
+  attempt 1 ~deps;
+  settled
+
+(* A failover/hedge leg. Recovery traffic is modelled as pure latency: each
+   leg charges the simulated clock, the lossy link's inflation factor and
+   the same deterministic drop draw as a real transfer into [dst] — site
+   crashes at the would-be arrival drop it, retries back off under the same
+   [retry] policy — but it occupies no link resource. That keeps the
+   primary task schedule of a recovery-enabled run bit-identical to its
+   retry-only counterpart: recovery can only add answers, never perturb a
+   primary leg's start time (and hence its drop draw), which is what makes
+   the dominance invariant demoted(recovery) <= demoted(retry-only)
+   structural rather than statistical.
+
+   When a [breaker] is supplied (request legs), the attempt is gated at
+   submission: an open breaker fails the leg without charging anything, and
+   every outcome feeds the destination's consecutive-failure count. *)
+let recovery_transfer e acc c fx ?breaker ~src ~dst ~phase ?db ~label ~bytes
+    ?(deps = []) ~k () =
+  let settled = Engine.promise e ~label:(label ^ ":settled") in
+  let finish delivered =
+    k delivered;
+    Engine.resolve e settled
+  in
+  let gate_allows () =
+    match breaker with
+    | None -> true
+    | Some b -> Recovery.Breaker.allow b ~site:dst ~at:(Engine.now e)
+  in
+  let feed = feed_breaker e c fx ?breaker ~dst ~bytes in
+  let base_timeout = fx.f_timeout_of dst in
+  let rec attempt i ~deps =
+    let alabel = attempt_label label i in
+    ignore
+      (Engine.fence e ~deps ~label:(alabel ^ ":go")
+         ~on_complete:(fun () ->
+           if not (gate_allows ()) then finish false
+           else if src = dst || bytes = 0 then begin
+             (* local or empty: free and infallible, like Engine.transfer *)
+             feed true;
+             finish true
+           end
+           else begin
+             Metrics.inc (ctr acc ~phase "msdq_bytes_shipped_total") bytes;
+             Metrics.inc (ctr acc ~phase "msdq_messages_total") 1;
+             let start = Engine.now e in
+             let base = Cost.net c ~bytes in
+             let duration, drop_reason =
+               Fault.link_fate fx.sched ~src ~dst ~label:alabel ~start
+                 ~duration:base ()
+             in
+             let dropped = drop_reason <> None in
+             ignore
+               (Engine.delay e ~label:alabel
+                  ~attrs:(task_attrs acc ~phase ?db ())
+                  ~duration
+                  ~on_complete:(fun () ->
+                    feed (not dropped);
+                    if not dropped then finish true
+                    else begin
+                      fx.f_drops <- fx.f_drops + 1;
+                      if i >= fx.fretry.max_attempts then finish false
+                      else
+                        retry_after e fx ~label
+                          ~wait:(backoff_wait fx.fretry ~base:base_timeout i)
+                          attempt i
+                    end)
+                  ())
+           end)
+         ())
+  in
+  attempt 1 ~deps;
+  settled
+
+(* One message from [src] to [dst]; [k delivered ~after] wires what follows
+   it. Infallible: the plain transfer, with [k true ~after:[transfer]] run
+   at once so the follow-on tasks hang off the transfer by static
+   dependency. Fallible: a [retrying_transfer] chain, with [k] run from its
+   delivery callback and [~after:[]] — the follow-on tasks start when they
+   are submitted. Returns a handle that completes once the leg settled. *)
+let leg e acc c fx ?breaker ~critical ~src ~dst ~phase ?db ~label ~bytes ~deps
+    ?(k = fun _ ~after:_ -> ()) () =
+  if fx.fallible then
+    retrying_transfer e acc c fx ?breaker ~critical ~src ~dst ~phase ?db ~label
+      ~bytes ~deps ~k:(fun delivered -> k delivered ~after:[]) ()
+  else begin
+    let t = transfer e acc c ~src ~dst ~phase ?db ~label ~bytes ~deps () in
+    k true ~after:[ t ];
+    t
+  end
+
+(* Legs that settle as one (a check round trip). [body ~settle] builds them
+   and calls [settle after] exactly once, when the last leg is done.
+   Infallible: [body] runs to completion here and the chain is its last
+   leg's [after] handles. Fallible: the chain is a promise [settle]
+   resolves. *)
+let leg_chain e fx ~label body =
+  if fx.fallible then begin
+    let p = Engine.promise e ~label in
+    body ~settle:(fun _ -> Engine.resolve e p);
+    [ p ]
+  end
+  else begin
+    let last = ref [] in
+    body ~settle:(fun after -> last := after);
+    !last
+  end
+
+(* The answer fence, once every handle in [deps] settled. [tail ~after]
+   submits the closing tasks (certification, deep resolution) after [after]
+   and returns the last one. Infallible: [tail] runs here, under a static
+   "answer" fence. Fallible: which verdicts arrived is only known when the
+   chains settle, so [tail] runs from a "collect" fence's completion and the
+   answer is a promise resolved once its last task is done. *)
+let answer_after e acc fx ~deps tail =
+  if fx.fallible then begin
+    let answer = Engine.promise e ~label:"answer" in
+    ignore
+      (Engine.fence e ~deps ~label:"collect"
+         ~on_complete:(fun () ->
+           ignore
+             (Engine.fence e
+                ~deps:[ tail ~after:[] ]
+                ~attrs:(fence_attrs acc) ~label:"answer-ready"
+                ~on_complete:(fun () -> Engine.resolve e answer)
+                ()))
+         ());
+    answer
+  end
+  else
+    Engine.fence e
+      ~deps:[ tail ~after:deps ]
+      ~attrs:(fence_attrs acc) ~label:"answer" ()
+
+let availability_of fx ?(recovered = 0) ~ref_answer ~final_answer () =
+  if not fx.fallible then no_faults_availability
+  else
+    let refc = Answer.goids ref_answer Answer.Certain in
+    let refm = Answer.goids ref_answer Answer.Maybe in
+    let demoted =
+      Oid.Goid.Set.cardinal
+        (Oid.Goid.Set.diff refc (Answer.goids final_answer Answer.Certain))
+    in
+    let resurrected =
+      Oid.Goid.Set.cardinal
+        (Oid.Goid.Set.diff
+           (Answer.goids final_answer Answer.Maybe)
+           (Oid.Goid.Set.union refc refm))
+    in
+    let n_ref = Oid.Goid.Set.cardinal refc in
+    {
+      faults_active = true;
+      failed_sites = Fault.failed_sites fx.sched;
+      drops = fx.f_drops;
+      retries = fx.f_retries;
+      checks_abandoned = fx.f_abandoned;
+      certain_fault_free = n_ref;
+      demoted;
+      recovered;
+      resurrected;
+      partial = fx.f_partial;
+      degradation_ratio =
+        (if n_ref = 0 then 0.0 else float_of_int demoted /. float_of_int n_ref);
+    }
+
+(* ------------------------------------------------------------------ *)
+(* Centralized strategies. Every shipment is critical: the answer is
+   computed over host data exactly as fault-free, and if any shipment was
+   abandoned the run degrades to a partial answer with every row demoted. *)
+
+(* The tail CA and CF share: integrate the shipped objects at the global
+   site (phase I), evaluate there (phase P, [eval_units] of it) and
+   assemble the answer. *)
+let centralized_tail e acc c fx ~gsite ~(outcome : Ca.outcome) ~xfers
+    ~eval_units ~eliminated ~conflicts =
+  let m = outcome.Ca.materialize_stats in
+  let integrate_units =
+    m.Materialize.source_objects + m.Materialize.fields_merged
+    + outcome.Ca.goid_lookups
+  in
+  bump_goid acc ~phase:"I" outcome.Ca.goid_lookups;
+  let integrate =
+    cpu_task e acc c ~site:gsite ~phase:"I" ~label:"integrate"
+      ~units:integrate_units ~deps:xfers ()
+  in
+  let eval =
+    cpu_task e acc c ~site:gsite ~phase:"P" ~label:"global-eval"
+      ~units:eval_units ~deps:[ integrate ] ()
+  in
+  let fence =
+    Engine.fence e ~deps:[ eval ]
+      ~attrs:(fence_attrs acc)
+      ~label:"answer" ()
+  in
+  {
+    acc;
+    fence;
+    finish =
+      (fun () ->
+        let ref_answer = outcome.Ca.answer in
+        let final =
+          if fx.f_partial then
+            Answer.demote ref_answer
+              ~goids:(Answer.goids ref_answer Answer.Certain)
+          else ref_answer
+        in
+        {
+          f_answer = final;
+          f_check_requests = 0;
+          f_checks_filtered = 0;
+          f_promoted = 0;
+          f_eliminated = eliminated;
+          f_conflicts = conflicts;
+          f_availability = availability_of fx ~ref_answer ~final_answer:final ();
+        });
+  }
+
+(* CA — phase order O (ship everything) -> I (integrate) -> P (evaluate). *)
+let build_ca e ?after ~acc ~tracer ~fx opts fed analysis =
   let c = opts.cost in
   let start_deps = match after with None -> [] | Some h -> [ h ] in
   let gs = Federation.global_schema fed in
@@ -297,47 +687,14 @@ let build_ca e ?after ~acc ~tracer opts fed analysis =
           disk_task e acc c ~site ~phase:"O" ~db:db_name ~label:"read-extents"
             ~bytes ~deps:start_deps ()
         in
-        transfer e acc c ~src:site ~dst:gsite ~phase:"O" ~db:db_name
-          ~label:"ship-objects" ~bytes ~deps:[ read ] ())
+        leg e acc c fx ~critical:true ~src:site ~dst:gsite ~phase:"O"
+          ~db:db_name ~label:"ship-objects" ~bytes ~deps:[ read ] ())
       (Federation.databases fed)
   in
-  let m = outcome.Ca.materialize_stats in
-  let integrate_units =
-    m.Materialize.source_objects + m.Materialize.fields_merged
-    + outcome.Ca.goid_lookups
-  in
-  bump_goid acc ~phase:"I" outcome.Ca.goid_lookups;
-  let integrate =
-    cpu_task e acc c ~site:gsite ~phase:"I" ~label:"integrate"
-      ~units:integrate_units ~deps:xfers ()
-  in
-  let eval =
-    cpu_task e acc c ~site:gsite ~phase:"P" ~label:"global-eval"
-      ~units:(units_of_work outcome.Ca.eval_work)
-      ~deps:[ integrate ] ()
-  in
-  let fence =
-    Engine.fence e ~deps:[ eval ]
-      ~attrs:(fence_attrs acc)
-      ~label:"answer" ()
-  in
-  {
-    acc;
-    fence;
-    finish =
-      (fun () ->
-        {
-          f_answer = outcome.Ca.answer;
-          f_check_requests = 0;
-          f_checks_filtered = 0;
-          f_promoted = 0;
-          f_eliminated = 0;
-          f_conflicts = 0;
-          f_availability = no_faults_availability;
-        });
-  }
+  centralized_tail e acc c fx ~gsite ~outcome ~xfers
+    ~eval_units:(units_of_work outcome.Ca.eval_work)
+    ~eliminated:0 ~conflicts:0
 
-(* ------------------------------------------------------------------ *)
 (* CF — semijoin-filtered centralized (extension, in the tradition of the
    paper's reference [20]): round 1, every root-hosting database evaluates
    its local predicates and ships only the surviving GOids; the global site
@@ -351,9 +708,10 @@ let build_ca e ?after ~acc ~tracer opts fed analysis =
    Phase attribution: the round-1 local filter is predicate evaluation
    (phase P); everything that acquires or ships objects — GOid exchange,
    candidate broadcast, round-2 reads and ships — is phase O; integration
-   is phase I; the final global evaluation is phase P again. *)
-
-let build_cf e ?after ~acc ~tracer opts fed analysis =
+   is phase I; the final global evaluation is phase P again. Under faults
+   every transfer is critical (a lost GOid list or candidate broadcast is as
+   fatal as a lost extent). *)
+let build_cf e ?after ~acc ~tracer ~fx opts fed analysis =
   let c = opts.cost in
   let start_deps = match after with None -> [] | Some h -> [ h ] in
   let gs = Federation.global_schema fed in
@@ -402,8 +760,8 @@ let build_cf e ?after ~acc ~tracer opts fed analysis =
             ~deps:[ read ] ()
         in
         let ship =
-          transfer e acc c ~src:site ~dst:gsite ~phase:"O" ~db:db_name
-            ~label:"ship-goids"
+          leg e acc c fx ~critical:true ~src:site ~dst:gsite ~phase:"O"
+            ~db:db_name ~label:"ship-goids"
             ~bytes:(List.length r.Local_result.rows * c.Cost.s_goid)
             ~deps:[ eval ] ()
         in
@@ -422,9 +780,9 @@ let build_cf e ?after ~acc ~tracer opts fed analysis =
       (fun (db_name, db) ->
         let site = Federation.site_of fed db_name in
         let bcast =
-          transfer e acc c ~src:gsite ~dst:site ~phase:"O" ~db:db_name
-            ~label:"ship-candidates" ~bytes:(n_candidates * c.Cost.s_goid)
-            ~deps:[ intersect ] ()
+          leg e acc c fx ~critical:true ~src:gsite ~dst:site ~phase:"O"
+            ~db:db_name ~label:"ship-candidates"
+            ~bytes:(n_candidates * c.Cost.s_goid) ~deps:[ intersect ] ()
         in
         (* candidate root objects this database holds *)
         let mine =
@@ -472,52 +830,19 @@ let build_cf e ?after ~acc ~tracer opts fed analysis =
           disk_task e acc c ~site ~phase:"O" ~db:db_name
             ~label:"read-candidates" ~bytes ~deps:[ bcast ] ()
         in
-        transfer e acc c ~src:site ~dst:gsite ~phase:"O" ~db:db_name
-          ~label:"ship-objects" ~bytes ~deps:[ read ] ())
+        leg e acc c fx ~critical:true ~src:site ~dst:gsite ~phase:"O"
+          ~db:db_name ~label:"ship-objects" ~bytes ~deps:[ read ] ())
       (Federation.databases fed)
   in
   (* Integration over branch extents plus only the candidate roots; global
      evaluation over the candidates (CA's eval work scaled accordingly). *)
-  let m = outcome.Ca.materialize_stats in
   let root_entities =
     max 1
       (List.length (Goid_table.goids_of_class (Federation.goids fed) ~gcls:root))
   in
-  let scale n = n * n_candidates / root_entities in
-  let integrate_units =
-    m.Materialize.source_objects + m.Materialize.fields_merged
-    + outcome.Ca.goid_lookups
-  in
-  bump_goid acc ~phase:"I" outcome.Ca.goid_lookups;
-  let integrate =
-    cpu_task e acc c ~site:gsite ~phase:"I" ~label:"integrate"
-      ~units:integrate_units ~deps:xfers ()
-  in
-  let eval =
-    cpu_task e acc c ~site:gsite ~phase:"P" ~label:"global-eval"
-      ~units:(scale (units_of_work outcome.Ca.eval_work))
-      ~deps:[ integrate ] ()
-  in
-  let fence =
-    Engine.fence e ~deps:[ eval ]
-      ~attrs:(fence_attrs acc)
-      ~label:"answer" ()
-  in
-  {
-    acc;
-    fence;
-    finish =
-      (fun () ->
-        {
-          f_answer = outcome.Ca.answer;
-          f_check_requests = 0;
-          f_checks_filtered = 0;
-          f_promoted = 0;
-          f_eliminated = lo.Certify.eliminated;
-          f_conflicts = lo.Certify.conflicts;
-          f_availability = no_faults_availability;
-        });
-  }
+  centralized_tail e acc c fx ~gsite ~outcome ~xfers
+    ~eval_units:(units_of_work outcome.Ca.eval_work * n_candidates / root_entities)
+    ~eliminated:lo.Certify.eliminated ~conflicts:lo.Certify.conflicts
 
 (* ------------------------------------------------------------------ *)
 (* Localized strategies *)
@@ -528,17 +853,6 @@ type local_phase = {
   built : Checks.built;
   probe_work : Meter.snapshot option;  (* PL only *)
 }
-
-let no_checks =
-  {
-    Checks.requests = [];
-    local_verdicts = [];
-    filtered = 0;
-    incapable = 0;
-    root_level = 0;
-    goid_lookups = 0;
-    work = Meter.zero;
-  }
 
 let compute_local_phases ~parallel ~checks ~signatures ~tracer fed analysis
     plans =
@@ -559,7 +873,7 @@ let compute_local_phases ~parallel ~checks ~signatures ~tracer fed analysis
         (* LO: evaluation only; phases O and I degenerate to the per-entity
            merge of local results at the global site. *)
         let result = Local_eval.run ~tracer fed analysis ~db in
-        { plan; result; built = no_checks; probe_work = None }
+        { plan; result; built = Checks.none; probe_work = None }
       else begin
         (* BL: evaluate first, then look up assistants for the maybe rows. *)
         let result = Local_eval.run ~tracer fed analysis ~db in
@@ -576,69 +890,80 @@ let compute_local_phases ~parallel ~checks ~signatures ~tracer fed analysis
       end)
     plans
 
+(* Per-check-key recovery state: one entry per (origin_db, item, atom)
+   check key, shared by every batch — primary, failover or hedge — that
+   carries the key. *)
+type key_state = {
+  mutable inflight : string list;  (* target dbs with an in-flight batch *)
+  mutable answered : bool;  (* some batch delivered this key's verdict *)
+  mutable k_failed : bool;  (* some batch carrying it was abandoned *)
+  mutable budget : int;  (* remaining failover/hedge dispatches *)
+  mutable chain : string list;  (* recovery hops taken, newest first *)
+}
+
 (* Localized phase attribution (paper, Figure 8): local evaluation is phase
    P; probing, dispatching, shipping and serving assistant checks are phase
-   O; shipping local results and certifying at the global site are phase I. *)
-let build_localized e ?after ~acc ~tracer opts ~parallel ?(checks = true)
+   O; shipping local results and certifying at the global site are phase I.
+
+   The local phases and check serving are computed host-side up front.
+   Certification only sees the verdicts whose round trip actually survived:
+   requests out and verdicts back use the bounded retry policy, result
+   shipments are critical. The certify task is wired by [answer_after] once
+   every chain has settled.
+
+   With [options.recovery.failover] set, abandonment is no longer terminal:
+   see the recovery block below. *)
+let build_localized e ?after ~acc ~tracer ~fx opts ~parallel ?(checks = true)
     ~signatures fed analysis =
   let c = opts.cost in
   let start_deps = match after with None -> [] | Some h -> [ h ] in
   let gs = Federation.global_schema fed in
   let involved = Involved.compute (Global_schema.schema gs) analysis in
   let plans = Localize.plan fed analysis in
-  let signatures =
-    if signatures then Some (Sig_catalog.build fed) else None
-  in
+  let signatures = if signatures then Some (Sig_catalog.build fed) else None in
   let phases =
     compute_local_phases ~parallel ~checks ~signatures ~tracer fed analysis
       plans
   in
   (* Serve the check requests, batched per (origin, target). *)
-  let batches : (string * string, Checks.request list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let batch_order = ref [] in
-  List.iter
-    (fun ph ->
-      List.iter
-        (fun (r : Checks.request) ->
-          let key = (r.Checks.origin_db, r.Checks.target_db) in
-          match Hashtbl.find_opt batches key with
-          | Some l -> l := r :: !l
-          | None ->
-            Hashtbl.add batches key (ref [ r ]);
-            batch_order := key :: !batch_order)
-        ph.built.Checks.requests)
-    phases;
-  let batch_order = List.rev !batch_order in
   let served =
     List.map
-      (fun ((_, target) as key) ->
-        let reqs = List.rev !(Hashtbl.find batches key) in
+      (fun (((_, target) as key), reqs) ->
         (key, reqs, Checks.serve ~tracer fed ~db:target reqs))
-      batch_order
+      (Checks.batches
+         (List.concat_map (fun ph -> ph.built.Checks.requests) phases))
   in
-  let verdicts =
+  let local_verdicts =
     List.concat_map (fun ph -> ph.built.Checks.local_verdicts) phases
-    @ List.concat_map (fun (_, _, s) -> s.Checks.verdicts) served
+  in
+  let all_verdicts =
+    local_verdicts @ List.concat_map (fun (_, _, s) -> s.Checks.verdicts) served
   in
   let results = List.map (fun ph -> ph.result) phases in
-  let certified =
+  (* The fault-free reference: what full delivery certifies. The
+     availability report and the degradation invariants are stated against
+     it, and a run whose every verdict arrived certifies exactly this. *)
+  let certified_ref =
     Certify.run ~multi_valued:opts.multi_valued ~tracer fed analysis ~results
-      ~verdicts
+      ~verdicts:all_verdicts
   in
-  let deep_outcome =
+  let deep_ref =
     if opts.deep_certify then
       Some
         (Deep.resolve ~multi_valued:opts.multi_valued ~tracer fed analysis
-           certified.Certify.answer)
+           certified_ref.Certify.answer)
     else None
+  in
+  let ref_answer =
+    match deep_ref with
+    | Some deep -> deep.Deep.answer
+    | None -> certified_ref.Certify.answer
   in
   (* ---- Replay onto the simulator. ---- *)
   let gsite = Federation.global_site fed in
   let n_targets = List.length analysis.Analysis.targets in
   let dispatch_tasks : (string, Engine.handle) Hashtbl.t = Hashtbl.create 8 in
-  let global_deps = ref [] in
+  let settle_deps = ref [] in
   List.iter
     (fun ph ->
       let db_name = ph.plan.Localize.db in
@@ -697,779 +1022,10 @@ let build_localized e ?after ~acc ~tracer opts ~parallel ?(checks = true)
         Wire.results_bytes c ~n_targets ph.result
         + List.length ph.built.Checks.local_verdicts * Wire.verdict_bytes c
       in
-      let ship =
-        transfer e acc c ~src:site ~dst:gsite ~phase:"I" ~db:db_name
-          ~label:"ship-results" ~bytes:results_bytes ~deps:[ dispatch ] ()
-      in
-      global_deps := ship :: !global_deps)
-    phases;
-  List.iter
-    (fun ((origin, target), reqs, (s : Checks.served)) ->
-      let osite = Federation.site_of fed origin in
-      let tsite = Federation.site_of fed target in
-      let dispatch = Hashtbl.find dispatch_tasks origin in
-      let req_xfer =
-        transfer e acc c ~src:osite ~dst:tsite ~phase:"O" ~db:target
-          ~label:"ship-requests" ~bytes:(Wire.requests_bytes c reqs)
-          ~deps:[ dispatch ] ()
-      in
-      let read =
-        disk_task e acc c ~site:tsite ~phase:"O" ~db:target ~label:"check-read"
-          ~bytes:(Wire.check_read_bytes c reqs) ~deps:[ req_xfer ] ()
-      in
-      let eval =
-        cpu_task e acc c ~site:tsite ~phase:"O" ~db:target ~label:"check-eval"
-          ~units:(units_of_work s.Checks.work) ~deps:[ read ] ()
-      in
-      let verdict_xfer =
-        transfer e acc c ~src:tsite ~dst:gsite ~phase:"O" ~db:target
-          ~label:"ship-verdicts"
-          ~bytes:(List.length s.Checks.verdicts * Wire.verdict_bytes c)
-          ~deps:[ eval ] ()
-      in
-      global_deps := verdict_xfer :: !global_deps)
-    served;
-  bump_goid acc ~phase:"I" certified.Certify.goid_lookups;
-  let certify_task =
-    cpu_task e acc c ~site:gsite ~phase:"I" ~label:"certify"
-      ~units:(units_of_work certified.Certify.work + certified.Certify.goid_lookups)
-      ~deps:(List.rev !global_deps) ()
-  in
-  let last =
-    match deep_outcome with
-    | None -> certify_task
-    | Some deep ->
-      (* Residual resolution: each database ships the projected data of the
-         residual entities' involved classes, then the global site resolves. *)
-      let residual = deep.Deep.residual in
-      let per_entity_bytes =
-        List.fold_left
-          (fun bytes gcls ->
-            bytes + c.Cost.s_loid
-            + (List.length (Involved.attrs_of_class involved gcls) * c.Cost.s_a))
-          0 (Involved.classes involved)
-      in
-      let deep_deps =
-        List.map
-          (fun (db_name, _) ->
-            let site = Federation.site_of fed db_name in
-            let bytes = residual * per_entity_bytes in
-            let read =
-              disk_task e acc c ~site ~phase:"I" ~db:db_name ~label:"deep-read"
-                ~bytes ~deps:[ certify_task ] ()
-            in
-            transfer e acc c ~src:site ~dst:gsite ~phase:"I" ~db:db_name
-              ~label:"deep-ship" ~bytes ~deps:[ read ] ())
-          (Federation.databases fed)
-      in
-      cpu_task e acc c ~site:gsite ~phase:"I" ~label:"deep-certify"
-        ~units:(units_of_work deep.Deep.work) ~deps:deep_deps ()
-  in
-  let fence =
-    Engine.fence e ~deps:[ last ]
-      ~attrs:(fence_attrs acc)
-      ~label:"answer" ()
-  in
-  let answer =
-    match deep_outcome with
-    | Some deep -> deep.Deep.answer
-    | None -> certified.Certify.answer
-  in
-  let check_requests =
-    List.fold_left (fun n ph -> n + List.length ph.built.Checks.requests) 0 phases
-  in
-  let checks_filtered =
-    List.fold_left (fun n ph -> n + ph.built.Checks.filtered) 0 phases
-  in
-  Metrics.inc
-    (Metrics.counter acc.reg
-       ~labels:[ ("strategy", acc.sname) ]
-       "msdq_check_requests_total")
-    check_requests;
-  Metrics.inc
-    (Metrics.counter acc.reg
-       ~labels:[ ("strategy", acc.sname) ]
-       "msdq_checks_filtered_total")
-    checks_filtered;
-  {
-    acc;
-    fence;
-    finish =
-      (fun () ->
-        {
-          f_answer = answer;
-          f_check_requests = check_requests;
-          f_checks_filtered = checks_filtered;
-          f_promoted = certified.Certify.promoted;
-          f_eliminated = certified.Certify.eliminated;
-          f_conflicts = certified.Certify.conflicts;
-          f_availability = no_faults_availability;
-        });
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Fault-aware execution.
-
-   When a fault schedule is installed, transfers can be dropped by the
-   engine's judge (destination down at the would-be finish time, or the
-   lossy-link draw fired). The builders below model what the strategies do
-   about it:
-
-   - Every lost attempt charges the simulated clock: the sender waits out a
-     timeout (grown by the retry policy's backoff, capped) and retransmits a
-     fresh transfer task carrying the same bytes.
-   - Check round trips (request shipping and verdict return) retry at most
-     [retry.max_attempts] times, then the batch is abandoned: its verdicts
-     never reach the global site and the affected items are demoted to
-     uncertified maybe results with degraded provenance — LO semantics for
-     exactly those items.
-   - Result and extent shipments are critical: without them there is no
-     answer at all, so they additionally wait out a destination outage (the
-     federation directory knows site status) and only give up when the
-     destination never recovers or a safety cap trips. An abandoned critical
-     transfer turns the whole run into a partial answer: every row is
-     reported as an uncertified maybe result.
-
-   Because drop decisions are a pure hash of the schedule and the transfer's
-   (destination, label, start), retransmissions get distinct labels and the
-   whole execution stays deterministic. *)
-
-type fault_ctx = {
-  sched : Fault.schedule;
-  fretry : retry;
-  f_timeout_of : int -> Time.t;  (* per-destination effective retry timeout *)
-  mutable f_drops : int;
-  mutable f_retries : int;
-  mutable f_abandoned : int;  (* check requests whose round trip was given up *)
-  mutable f_partial : bool;  (* a critical transfer was abandoned *)
-  mutable f_failovers : int;  (* failover batches dispatched to replicas *)
-  mutable f_hedges : int;  (* hedged duplicate batches dispatched *)
-  mutable f_recovered : int;  (* rows a retry-only run would have demoted *)
-  mutable f_slow : int;  (* delivered round trips over the adaptive threshold *)
-}
-
-let new_fault_ctx options =
-  {
-    sched = options.fault;
-    fretry = options.retry;
-    f_timeout_of =
-      (fun dst ->
-        effective_timeout ?latency_of:options.latency_of options.retry ~dst);
-    f_drops = 0;
-    f_retries = 0;
-    f_abandoned = 0;
-    f_partial = false;
-    f_failovers = 0;
-    f_hedges = 0;
-    f_recovered = 0;
-    f_slow = 0;
-  }
-
-(* A delivered check round trip to [dst] still counts toward tripping the
-   breaker when the destination is gray: its (deterministically) inflated
-   round-trip model exceeds the adaptive latency threshold. Benign
-   per-transfer jitter is deliberately excluded — only the link's persistent
-   inflation factor, the gray signal, trips. *)
-let round_trip_slow fx c ~dst ~bytes =
-  match fx.fretry.adaptive with
-  | None -> false
-  | Some _ -> (
-    match Fault.link_of fx.sched dst with
-    | Some lf when lf.Fault.inflate > 1.0 ->
-      Time.compare
-        (Time.us (Time.to_us (Cost.net c ~bytes) *. lf.Fault.inflate))
-        (fx.f_timeout_of dst)
-      > 0
-    | Some _ | None -> false)
-
-(* Safety cap on critical retry chains: recoverable schedules converge long
-   before this, and a permanent outage is detected directly. *)
-let fault_attempt_cap = 64
-
-(* A failable transfer with retransmission. Returns a promise that resolves
-   when the chain settles; [k] runs exactly once with whether the payload was
-   ultimately delivered, just before the promise resolves. Attempt [i > 1]
-   gets a distinct label so its drop draw is independent of attempt 1's.
-
-   When a [breaker] is supplied (check request legs under a recovery
-   policy), every outcome feeds the breaker's consecutive-failure count for
-   the destination. The breaker never *gates* these primary legs — gating
-   them could abandon a chain the retry-only policy would have delivered,
-   which would break the dominance invariant; only the recovery layer's own
-   extra traffic consults the breaker before dispatching. *)
-let retrying_transfer e acc c fx ?breaker ~critical ~src ~dst ~phase ?db
-    ~label ~bytes ?(deps = []) ~k () =
-  let settled = Engine.promise e ~label:(label ^ ":settled") in
-  let finish delivered =
-    if (not delivered) && critical then fx.f_partial <- true;
-    k delivered;
-    Engine.resolve e settled
-  in
-  let cap = if critical then fault_attempt_cap else fx.fretry.max_attempts in
-  let base_timeout = fx.f_timeout_of dst in
-  (match fx.fretry.adaptive with
-  | None -> ()
-  | Some _ ->
-    Metrics.set
-      (Metrics.gauge acc.reg
-         ~labels:[ ("strategy", acc.sname); ("site", string_of_int dst) ]
-         "msdq_adaptive_timeout_us")
-      (Time.to_us base_timeout));
-  let backoff_wait i =
-    let exp = Float.min (float_of_int (i - 1)) 6.0 in
-    Time.us (Time.to_us base_timeout *. (fx.fretry.backoff ** exp))
-  in
-  let feed outcome =
-    match breaker with
-    | None -> ()
-    | Some b -> (
-      match outcome with
-      | Engine.Delivered ->
-        if round_trip_slow fx c ~dst ~bytes then begin
-          fx.f_slow <- fx.f_slow + 1;
-          Recovery.Breaker.slow b ~site:dst ~at:(Engine.now e)
-        end
-        else Recovery.Breaker.success b ~site:dst
-      | Engine.Dropped _ ->
-        Recovery.Breaker.failure b ~site:dst ~at:(Engine.now e))
-  in
-  let rec attempt i ~deps =
-    let alabel = if i = 1 then label else Printf.sprintf "%s~retry%d" label i in
-    ignore
-      (transfer e acc c ~src ~dst ~phase ?db ~label:alabel ~bytes ~deps
-         ~on_outcome:(fun outcome ->
-           feed outcome;
-           match outcome with
-           | Engine.Delivered -> finish true
-           | Engine.Dropped _ ->
-             fx.f_drops <- fx.f_drops + 1;
-             if i >= cap then finish false
-             else begin
-               let now = Engine.now e in
-               let wait =
-                 if critical && Fault.site_down fx.sched ~site:dst ~at:now then
-                   (* Wait for the destination to come back rather than
-                      hammering a site known to be down. *)
-                   match Fault.next_up fx.sched ~site:dst ~at:now with
-                   | None -> None  (* it never does *)
-                   | Some up -> Some (Time.add (Time.sub up now) base_timeout)
-                 else Some (backoff_wait i)
-               in
-               match wait with
-               | None -> finish false
-               | Some wait ->
-                 fx.f_retries <- fx.f_retries + 1;
-                 let d =
-                   Engine.delay e ~label:(label ^ ":timeout") ~duration:wait ()
-                 in
-                 attempt (i + 1) ~deps:[ d ]
-             end)
-         ())
-  in
-  attempt 1 ~deps;
-  settled
-
-(* A failover/hedge leg. Recovery traffic is modelled as pure latency: each
-   leg charges the simulated clock, the lossy link's inflation factor and
-   the same deterministic drop draw as a real transfer into [dst] — site
-   crashes at the would-be arrival drop it, retries back off under the same
-   [retry] policy — but it occupies no link resource. That keeps the
-   primary task schedule of a recovery-enabled run bit-identical to its
-   retry-only counterpart: recovery can only add answers, never perturb a
-   primary leg's start time (and hence its drop draw), which is what makes
-   the dominance invariant demoted(recovery) <= demoted(retry-only)
-   structural rather than statistical.
-
-   When a [breaker] is supplied (request legs), the attempt is gated at
-   submission: an open breaker fails the leg without charging anything, and
-   every outcome feeds the destination's consecutive-failure count. *)
-let recovery_transfer e acc c fx ?breaker ~src ~dst ~phase ?db ~label ~bytes
-    ?(deps = []) ~k () =
-  let settled = Engine.promise e ~label:(label ^ ":settled") in
-  let finish delivered =
-    k delivered;
-    Engine.resolve e settled
-  in
-  let gate_allows () =
-    match breaker with
-    | None -> true
-    | Some b -> Recovery.Breaker.allow b ~site:dst ~at:(Engine.now e)
-  in
-  let feed delivered =
-    match breaker with
-    | None -> ()
-    | Some b ->
-      if delivered then
-        if round_trip_slow fx c ~dst ~bytes then begin
-          fx.f_slow <- fx.f_slow + 1;
-          Recovery.Breaker.slow b ~site:dst ~at:(Engine.now e)
-        end
-        else Recovery.Breaker.success b ~site:dst
-      else Recovery.Breaker.failure b ~site:dst ~at:(Engine.now e)
-  in
-  let base_timeout = fx.f_timeout_of dst in
-  let backoff_wait i =
-    let exp = Float.min (float_of_int (i - 1)) 6.0 in
-    Time.us (Time.to_us base_timeout *. (fx.fretry.backoff ** exp))
-  in
-  let rec attempt i ~deps =
-    let alabel = if i = 1 then label else Printf.sprintf "%s~retry%d" label i in
-    ignore
-      (Engine.fence e ~deps ~label:(alabel ^ ":go")
-         ~on_complete:(fun () ->
-           if not (gate_allows ()) then finish false
-           else if src = dst || bytes = 0 then begin
-             (* local or empty: free and infallible, like Engine.transfer *)
-             feed true;
-             finish true
-           end
-           else begin
-             Metrics.inc (ctr acc ~phase "msdq_bytes_shipped_total") bytes;
-             Metrics.inc (ctr acc ~phase "msdq_messages_total") 1;
-             let start = Engine.now e in
-             let base = Cost.net c ~bytes in
-             let duration, drop_reason =
-               Fault.link_fate fx.sched ~src ~dst ~label:alabel ~start
-                 ~duration:base ()
-             in
-             let dropped = drop_reason <> None in
-             ignore
-               (Engine.delay e ~label:alabel
-                  ~attrs:(task_attrs acc ~phase ?db ())
-                  ~duration
-                  ~on_complete:(fun () ->
-                    feed (not dropped);
-                    if not dropped then finish true
-                    else begin
-                      fx.f_drops <- fx.f_drops + 1;
-                      if i >= fx.fretry.max_attempts then finish false
-                      else begin
-                        fx.f_retries <- fx.f_retries + 1;
-                        let d =
-                          Engine.delay e ~label:(label ^ ":timeout")
-                            ~duration:(backoff_wait i) ()
-                        in
-                        attempt (i + 1) ~deps:[ d ]
-                      end
-                    end)
-                  ())
-           end)
-         ())
-  in
-  attempt 1 ~deps;
-  settled
-
-let availability_of fx ?(recovered = 0) ~ref_answer ~final_answer () =
-  let refc = Answer.goids ref_answer Answer.Certain in
-  let refm = Answer.goids ref_answer Answer.Maybe in
-  let demoted =
-    Oid.Goid.Set.cardinal
-      (Oid.Goid.Set.diff refc (Answer.goids final_answer Answer.Certain))
-  in
-  let resurrected =
-    Oid.Goid.Set.cardinal
-      (Oid.Goid.Set.diff
-         (Answer.goids final_answer Answer.Maybe)
-         (Oid.Goid.Set.union refc refm))
-  in
-  let n_ref = Oid.Goid.Set.cardinal refc in
-  {
-    faults_active = true;
-    failed_sites = Fault.failed_sites fx.sched;
-    drops = fx.f_drops;
-    retries = fx.f_retries;
-    checks_abandoned = fx.f_abandoned;
-    certain_fault_free = n_ref;
-    demoted;
-    recovered;
-    resurrected;
-    partial = fx.f_partial;
-    degradation_ratio =
-      (if n_ref = 0 then 0.0 else float_of_int demoted /. float_of_int n_ref);
-  }
-
-(* CA under faults: the extent shipments are all critical. The answer is
-   computed over host data exactly as fault-free; if any shipment was
-   abandoned the run degrades to a partial answer with every row demoted. *)
-let build_ca_faulty e ?after ~acc ~tracer ~fx opts fed analysis =
-  let c = opts.cost in
-  let start_deps = match after with None -> [] | Some h -> [ h ] in
-  let gs = Federation.global_schema fed in
-  let involved = Involved.compute (Global_schema.schema gs) analysis in
-  let outcome = Ca.run ~multi_valued:opts.multi_valued ~tracer fed analysis in
-  let gsite = Federation.global_site fed in
-  let xfers =
-    List.map
-      (fun (db_name, db) ->
-        let bytes = Wire.projected_extent_bytes c involved gs ~db_name ~db in
-        let site = Federation.site_of fed db_name in
-        let read =
-          disk_task e acc c ~site ~phase:"O" ~db:db_name ~label:"read-extents"
-            ~bytes ~deps:start_deps ()
-        in
-        retrying_transfer e acc c fx ~critical:true ~src:site ~dst:gsite
-          ~phase:"O" ~db:db_name ~label:"ship-objects" ~bytes ~deps:[ read ]
-          ~k:(fun _ -> ())
-          ())
-      (Federation.databases fed)
-  in
-  let m = outcome.Ca.materialize_stats in
-  let integrate_units =
-    m.Materialize.source_objects + m.Materialize.fields_merged
-    + outcome.Ca.goid_lookups
-  in
-  bump_goid acc ~phase:"I" outcome.Ca.goid_lookups;
-  let integrate =
-    cpu_task e acc c ~site:gsite ~phase:"I" ~label:"integrate"
-      ~units:integrate_units ~deps:xfers ()
-  in
-  let eval =
-    cpu_task e acc c ~site:gsite ~phase:"P" ~label:"global-eval"
-      ~units:(units_of_work outcome.Ca.eval_work)
-      ~deps:[ integrate ] ()
-  in
-  let fence =
-    Engine.fence e ~deps:[ eval ]
-      ~attrs:(fence_attrs acc)
-      ~label:"answer" ()
-  in
-  {
-    acc;
-    fence;
-    finish =
-      (fun () ->
-        let ref_answer = outcome.Ca.answer in
-        let final =
-          if fx.f_partial then
-            Answer.demote ref_answer
-              ~goids:(Answer.goids ref_answer Answer.Certain)
-          else ref_answer
-        in
-        {
-          f_answer = final;
-          f_check_requests = 0;
-          f_checks_filtered = 0;
-          f_promoted = 0;
-          f_eliminated = 0;
-          f_conflicts = 0;
-          f_availability = availability_of fx ~ref_answer ~final_answer:final ();
-        });
-  }
-
-(* CF under faults: the same two-round graph as fault-free, with every
-   transfer critical (a lost GOid list or candidate broadcast is as fatal as
-   a lost extent). *)
-let build_cf_faulty e ?after ~acc ~tracer ~fx opts fed analysis =
-  let c = opts.cost in
-  let start_deps = match after with None -> [] | Some h -> [ h ] in
-  let gs = Federation.global_schema fed in
-  let schema = Global_schema.schema gs in
-  let involved = Involved.compute schema analysis in
-  let gsite = Federation.global_site fed in
-  let root = analysis.Analysis.range_class in
-  let plans = Localize.plan fed analysis in
-  let results =
-    List.map
-      (fun (p : Localize.db_plan) ->
-        Local_eval.run ~tracer fed analysis ~db:p.Localize.db)
-      plans
-  in
-  let lo =
-    Certify.run ~multi_valued:opts.multi_valued ~tracer fed analysis ~results
-      ~verdicts:[]
-  in
-  let candidates = Answer.goids lo.Certify.answer Answer.Certain in
-  let candidates =
-    Oid.Goid.Set.union candidates (Answer.goids lo.Certify.answer Answer.Maybe)
-  in
-  let n_candidates = Oid.Goid.Set.cardinal candidates in
-  let outcome = Ca.run ~multi_valued:opts.multi_valued ~tracer fed analysis in
-  let width_root db_name =
-    Involved.local_projection_width involved gs ~db:db_name ~gcls:root
-  in
-  let round1 =
-    List.map2
-      (fun (p : Localize.db_plan) (r : Local_result.t) ->
-        let db_name = p.Localize.db in
-        let site = Federation.site_of fed db_name in
-        let touched = Touch.count fed analysis ~db:db_name in
-        let read_bytes = Wire.localized_read_bytes c involved gs ~db_name ~touched in
-        let read =
-          disk_task e acc c ~site ~phase:"P" ~db:db_name ~label:"read-extents"
-            ~bytes:read_bytes ~deps:start_deps ()
-        in
-        let eval =
-          cpu_task e acc c ~site ~phase:"P" ~db:db_name ~label:"local-filter"
-            ~units:(units_of_work r.Local_result.work + List.length r.Local_result.rows)
-            ~deps:[ read ] ()
-        in
-        let ship =
-          retrying_transfer e acc c fx ~critical:true ~src:site ~dst:gsite
-            ~phase:"O" ~db:db_name ~label:"ship-goids"
-            ~bytes:(List.length r.Local_result.rows * c.Cost.s_goid)
-            ~deps:[ eval ]
-            ~k:(fun _ -> ())
-            ()
-        in
-        (db_name, r, ship))
-      plans results
-  in
-  bump_goid acc ~phase:"O" lo.Certify.goid_lookups;
-  let intersect =
-    cpu_task e acc c ~site:gsite ~phase:"O" ~label:"intersect"
-      ~units:(units_of_work lo.Certify.work + lo.Certify.goid_lookups)
-      ~deps:(List.map (fun (_, _, ship) -> ship) round1) ()
-  in
-  let xfers =
-    List.map
-      (fun (db_name, db) ->
-        let site = Federation.site_of fed db_name in
-        let bcast =
-          retrying_transfer e acc c fx ~critical:true ~src:gsite ~dst:site
-            ~phase:"O" ~db:db_name ~label:"ship-candidates"
-            ~bytes:(n_candidates * c.Cost.s_goid) ~deps:[ intersect ]
-            ~k:(fun _ -> ())
-            ()
-        in
-        let mine =
-          match List.find_opt (fun (n, _, _) -> String.equal n db_name) round1 with
-          | Some (_, r, _) ->
-            List.length
-              (List.filter
-                 (fun (row : Local_result.row) ->
-                   Oid.Goid.Set.mem row.Local_result.goid candidates)
-                 r.Local_result.rows)
-          | None -> 0
-        in
-        let root_bytes = mine * (c.Cost.s_loid + (width_root db_name * c.Cost.s_a)) in
-        let touched =
-          match Global_schema.constituent_of gs ~gcls:root ~db:db_name with
-          | Some _ -> Touch.count fed analysis ~db:db_name
-          | None -> []
-        in
-        let branch_bytes =
-          List.fold_left
-            (fun bytes gcls ->
-              if String.equal gcls root then bytes
-              else
-                match Global_schema.constituent_of gs ~gcls ~db:db_name with
-                | None -> bytes
-                | Some cls ->
-                  let width =
-                    Involved.local_projection_width involved gs ~db:db_name ~gcls
-                  in
-                  let count =
-                    match List.assoc_opt gcls touched with
-                    | Some t -> min t (max mine 1)
-                    | None -> Database.extent_size db cls
-                  in
-                  bytes + (count * (c.Cost.s_loid + (width * c.Cost.s_a))))
-            0 (Involved.classes involved)
-        in
-        let bytes = root_bytes + branch_bytes in
-        let read =
-          disk_task e acc c ~site ~phase:"O" ~db:db_name
-            ~label:"read-candidates" ~bytes ~deps:[ bcast ] ()
-        in
-        retrying_transfer e acc c fx ~critical:true ~src:site ~dst:gsite
-          ~phase:"O" ~db:db_name ~label:"ship-objects" ~bytes ~deps:[ read ]
-          ~k:(fun _ -> ())
-          ())
-      (Federation.databases fed)
-  in
-  let m = outcome.Ca.materialize_stats in
-  let root_entities =
-    max 1
-      (List.length (Goid_table.goids_of_class (Federation.goids fed) ~gcls:root))
-  in
-  let scale n = n * n_candidates / root_entities in
-  let integrate_units =
-    m.Materialize.source_objects + m.Materialize.fields_merged
-    + outcome.Ca.goid_lookups
-  in
-  bump_goid acc ~phase:"I" outcome.Ca.goid_lookups;
-  let integrate =
-    cpu_task e acc c ~site:gsite ~phase:"I" ~label:"integrate"
-      ~units:integrate_units ~deps:xfers ()
-  in
-  let eval =
-    cpu_task e acc c ~site:gsite ~phase:"P" ~label:"global-eval"
-      ~units:(scale (units_of_work outcome.Ca.eval_work))
-      ~deps:[ integrate ] ()
-  in
-  let fence =
-    Engine.fence e ~deps:[ eval ]
-      ~attrs:(fence_attrs acc)
-      ~label:"answer" ()
-  in
-  {
-    acc;
-    fence;
-    finish =
-      (fun () ->
-        let ref_answer = outcome.Ca.answer in
-        let final =
-          if fx.f_partial then
-            Answer.demote ref_answer
-              ~goids:(Answer.goids ref_answer Answer.Certain)
-          else ref_answer
-        in
-        {
-          f_answer = final;
-          f_check_requests = 0;
-          f_checks_filtered = 0;
-          f_promoted = 0;
-          f_eliminated = lo.Certify.eliminated;
-          f_conflicts = lo.Certify.conflicts;
-          f_availability = availability_of fx ~ref_answer ~final_answer:final ();
-        });
-  }
-
-(* Per-check-key recovery state: one entry per (origin_db, item, atom)
-   check key, shared by every batch — primary, failover or hedge — that
-   carries the key. *)
-type key_state = {
-  mutable inflight : string list;  (* target dbs with an in-flight batch *)
-  mutable answered : bool;  (* some batch delivered this key's verdict *)
-  mutable k_failed : bool;  (* some batch carrying it was abandoned *)
-  mutable budget : int;  (* remaining failover/hedge dispatches *)
-  mutable chain : string list;  (* recovery hops taken, newest first *)
-}
-
-(* Localized strategies under faults. The local phases and check serving are
-   computed host-side exactly as fault-free, but certification only sees the
-   verdicts whose round trip actually survived: requests out and verdicts
-   back use the bounded retry policy, result shipments are critical. Since
-   which batches survive depends on simulated timing, the certify task is
-   submitted dynamically once every chain has settled, and the final answer
-   fence is a promise resolved when certification (and deep resolution, if
-   enabled) completes.
-
-   With [options.recovery.failover] set, abandonment is no longer terminal:
-   see the recovery block below. *)
-let build_localized_faulty e ?after ~acc ~tracer ~fx opts ~parallel
-    ?(checks = true) ~signatures fed analysis =
-  let c = opts.cost in
-  let start_deps = match after with None -> [] | Some h -> [ h ] in
-  let gs = Federation.global_schema fed in
-  let involved = Involved.compute (Global_schema.schema gs) analysis in
-  let plans = Localize.plan fed analysis in
-  let signatures = if signatures then Some (Sig_catalog.build fed) else None in
-  let phases =
-    compute_local_phases ~parallel ~checks ~signatures ~tracer fed analysis
-      plans
-  in
-  let batches : (string * string, Checks.request list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let batch_order = ref [] in
-  List.iter
-    (fun ph ->
-      List.iter
-        (fun (r : Checks.request) ->
-          let key = (r.Checks.origin_db, r.Checks.target_db) in
-          match Hashtbl.find_opt batches key with
-          | Some l -> l := r :: !l
-          | None ->
-            Hashtbl.add batches key (ref [ r ]);
-            batch_order := key :: !batch_order)
-        ph.built.Checks.requests)
-    phases;
-  let batch_order = List.rev !batch_order in
-  let served =
-    List.map
-      (fun ((_, target) as key) ->
-        let reqs = List.rev !(Hashtbl.find batches key) in
-        (key, reqs, Checks.serve ~tracer fed ~db:target reqs))
-      batch_order
-  in
-  let local_verdicts =
-    List.concat_map (fun ph -> ph.built.Checks.local_verdicts) phases
-  in
-  let all_verdicts =
-    local_verdicts @ List.concat_map (fun (_, _, s) -> s.Checks.verdicts) served
-  in
-  let results = List.map (fun ph -> ph.result) phases in
-  (* The fault-free reference: what full delivery would have certified. The
-     availability report and the degradation invariants are stated against
-     it. *)
-  let certified_ref =
-    Certify.run ~multi_valued:opts.multi_valued ~tracer fed analysis ~results
-      ~verdicts:all_verdicts
-  in
-  let ref_answer =
-    if opts.deep_certify then
-      (Deep.resolve ~multi_valued:opts.multi_valued ~tracer fed analysis
-         certified_ref.Certify.answer)
-        .Deep.answer
-    else certified_ref.Certify.answer
-  in
-  (* ---- Replay onto the simulator, failure-aware. ---- *)
-  let gsite = Federation.global_site fed in
-  let n_targets = List.length analysis.Analysis.targets in
-  let dispatch_tasks : (string, Engine.handle) Hashtbl.t = Hashtbl.create 8 in
-  let settle_deps = ref [] in
-  List.iter
-    (fun ph ->
-      let db_name = ph.plan.Localize.db in
-      let site = Federation.site_of fed db_name in
-      let touched = Touch.count fed analysis ~db:db_name in
-      let read_bytes = Wire.localized_read_bytes c involved gs ~db_name ~touched in
-      let read =
-        disk_task e acc c ~site ~phase:"P" ~db:db_name ~label:"read-extents"
-          ~bytes:read_bytes ~deps:start_deps ()
-      in
-      bump_goid acc ~phase:"O" ph.built.Checks.goid_lookups;
-      let eval_units =
-        units_of_work ph.result.Local_result.work
-        + List.length ph.result.Local_result.rows
-      in
-      let dispatch_units =
-        ph.built.Checks.goid_lookups + units_of_work ph.built.Checks.work
-      in
-      let dispatch =
-        if parallel then begin
-          let probe_units =
-            match ph.probe_work with Some w -> units_of_work w | None -> 0
-          in
-          let probe =
-            cpu_task e acc c ~site ~phase:"O" ~db:db_name ~label:"probe"
-              ~units:probe_units ~deps:[ read ] ()
-          in
-          let dispatch =
-            cpu_task e acc c ~site ~phase:"O" ~db:db_name
-              ~label:"dispatch-checks" ~units:dispatch_units ~deps:[ probe ] ()
-          in
-          let eval =
-            cpu_task e acc c ~site ~phase:"P" ~db:db_name ~label:"local-eval"
-              ~units:eval_units ~deps:[ dispatch ] ()
-          in
-          Hashtbl.replace dispatch_tasks db_name dispatch;
-          eval
-        end
-        else begin
-          let eval =
-            cpu_task e acc c ~site ~phase:"P" ~db:db_name ~label:"local-eval"
-              ~units:eval_units ~deps:[ read ] ()
-          in
-          let dispatch =
-            cpu_task e acc c ~site ~phase:"O" ~db:db_name
-              ~label:"dispatch-checks" ~units:dispatch_units ~deps:[ eval ] ()
-          in
-          Hashtbl.replace dispatch_tasks db_name dispatch;
-          dispatch
-        end
-      in
-      let results_bytes =
-        Wire.results_bytes c ~n_targets ph.result
-        + List.length ph.built.Checks.local_verdicts * Wire.verdict_bytes c
-      in
       let settled =
-        retrying_transfer e acc c fx ~critical:true ~src:site ~dst:gsite
-          ~phase:"I" ~db:db_name ~label:"ship-results" ~bytes:results_bytes
-          ~deps:[ dispatch ]
-          ~k:(fun _ -> ())
-          ()
+        leg e acc c fx ~critical:true ~src:site ~dst:gsite ~phase:"I"
+          ~db:db_name ~label:"ship-results" ~bytes:results_bytes
+          ~deps:[ dispatch ] ()
       in
       settle_deps := settled :: !settle_deps)
     phases;
@@ -1496,10 +1052,10 @@ let build_localized_faulty e ?after ~acc ~tracer ~fx opts ~parallel
      delivered). An optional hedged duplicate races each
      failover batch after [hedge_after]; the first answer wins, and duplicate
      identical verdicts are harmless to certification (qcheck-pinned). Only
-     keys no live replica could answer demote their rows. *)
-  let n_batches = List.length served in
-  let batch_delivered = Array.make (max 1 n_batches) false in
-  let recovery_on = opts.recovery.failover in
+     keys no live replica could answer demote their rows. Nothing can be
+     abandoned when no transfer can fail, so recovery stays off then. *)
+  let batch_delivered = Array.make (List.length served) false in
+  let recovery_on = opts.recovery.failover && fx.fallible in
   let breaker =
     if not recovery_on then None
     else
@@ -1607,6 +1163,30 @@ let build_localized_faulty e ?after ~acc ~tracer ~fx opts ~parallel
         && not (Fault.permanently_down fx.sched ~site:tsite ~at))
       (after @ upto)
   in
+  (* A batch carrying [reqs] to [tdb] was abandoned: mark its keys failed
+     and hand the ones no other batch is still chasing to [spawn]. *)
+  let abandon_keys ~reqs ~tdb spawn =
+    List.iter
+      (fun (r : Checks.request) ->
+        let ks = kstate (key_of r) in
+        ks.inflight <- remove_inflight ks.inflight tdb;
+        ks.k_failed <- true)
+      reqs;
+    spawn
+      (List.filter
+         (fun (r : Checks.request) ->
+           let ks = kstate (key_of r) in
+           (not ks.answered) && ks.inflight = [])
+         reqs)
+  in
+  let answer_keys ~reqs ~tdb =
+    List.iter
+      (fun (r : Checks.request) ->
+        let ks = kstate (key_of r) in
+        ks.inflight <- remove_inflight ks.inflight tdb;
+        ks.answered <- true)
+      reqs
+  in
   let extra_verdicts : Checks.verdict list list ref = ref [] in
   let fo_seq = ref 0 in
   (* Serving a recovery batch at the replica site is charged as latency too
@@ -1683,21 +1263,9 @@ let build_localized_faulty e ?after ~acc ~tracer ~fx opts ~parallel
      | _ -> ());
     let abandon () =
       fx.f_abandoned <- fx.f_abandoned + List.length reqs;
-      List.iter
-        (fun (r : Checks.request) ->
-          let ks = kstate (key_of r) in
-          ks.inflight <- remove_inflight ks.inflight tdb;
-          ks.k_failed <- true)
-        reqs;
-      let ready =
-        List.filter
-          (fun (r : Checks.request) ->
-            let ks = kstate (key_of r) in
-            (not ks.answered) && ks.inflight = [])
-          reqs
-      in
-      spawn_recovery ~origin ~reqs:ready ~rotate_past:tdb ~hedge:false
-        ~settle:done_one
+      abandon_keys ~reqs ~tdb (fun ready ->
+          spawn_recovery ~origin ~reqs:ready ~rotate_past:tdb ~hedge:false
+            ~settle:done_one)
     in
     ignore
       (recovery_transfer e acc c fx ?breaker ~src:osite
@@ -1721,12 +1289,7 @@ let build_localized_faulty e ?after ~acc ~tracer ~fx opts ~parallel
                   ~deps:[ serve ]
                   ~k:(fun delivered ->
                     if delivered then begin
-                      List.iter
-                        (fun (r : Checks.request) ->
-                          let ks = kstate (key_of r) in
-                          ks.inflight <- remove_inflight ks.inflight tdb;
-                          ks.answered <- true)
-                        reqs;
+                      answer_keys ~reqs ~tdb;
                       extra_verdicts := s.Checks.verdicts :: !extra_verdicts;
                       done_one ()
                     end
@@ -1747,187 +1310,147 @@ let build_localized_faulty e ?after ~acc ~tracer ~fx opts ~parallel
           else next_candidate key ~rotate_past ~at:now)
         reqs
     in
-    (* group per target, preserving pick order *)
-    let groups = Hashtbl.create 4 in
-    let group_order = ref [] in
-    List.iter
-      (fun (r : Checks.request) ->
-        match Hashtbl.find_opt groups r.Checks.target_db with
-        | Some l -> l := r :: !l
-        | None ->
-          Hashtbl.add groups r.Checks.target_db (ref [ r ]);
-          group_order := r.Checks.target_db :: !group_order)
-      picked;
-    match List.rev !group_order with
+    (* every pick shares [origin], so its route batches are per target *)
+    match Checks.batches picked with
     | [] -> settle ()
-    | order ->
-      let n = ref (List.length order) in
+    | groups ->
+      let n = ref (List.length groups) in
       let settle_one () =
         decr n;
         if !n = 0 then settle ()
       in
       List.iter
-        (fun tdb ->
-          let greqs = List.rev !(Hashtbl.find groups tdb) in
+        (fun ((_, tdb), greqs) ->
           recovery_dispatch ~origin ~tdb ~reqs:greqs ~hedge ~settle:settle_one)
-        order
+        groups
   in
   List.iteri
     (fun bi ((origin, target), reqs, (s : Checks.served)) ->
       let osite = Federation.site_of fed origin in
       let tsite = Federation.site_of fed target in
       let dispatch = Hashtbl.find dispatch_tasks origin in
-      let batch_settled =
-        Engine.promise e ~label:(Printf.sprintf "checks:%s->%s" origin target)
-      in
-      if recovery_on then
-        List.iter
-          (fun (r : Checks.request) ->
-            let ks = kstate (key_of r) in
-            ks.inflight <- target :: ks.inflight)
-          reqs;
-      let abandon () =
-        fx.f_abandoned <- fx.f_abandoned + List.length reqs;
-        if not recovery_on then Engine.resolve e batch_settled
-        else begin
+      let chain =
+        leg_chain e fx ~label:(Printf.sprintf "checks:%s->%s" origin target)
+        @@ fun ~settle ->
+        if recovery_on then
           List.iter
             (fun (r : Checks.request) ->
               let ks = kstate (key_of r) in
-              ks.inflight <- remove_inflight ks.inflight target;
-              ks.k_failed <- true)
+              ks.inflight <- target :: ks.inflight)
             reqs;
-          let ready =
-            List.filter
-              (fun (r : Checks.request) ->
-                let ks = kstate (key_of r) in
-                (not ks.answered) && ks.inflight = [])
-              reqs
-          in
-          spawn_recovery ~origin ~reqs:ready ~rotate_past:target ~hedge:false
-            ~settle:(fun () -> Engine.resolve e batch_settled)
-        end
-      in
-      ignore
-        (retrying_transfer e acc c fx ?breaker ~critical:false ~src:osite
-           ~dst:tsite ~phase:"O" ~db:target ~label:"ship-requests"
-           ~bytes:(Wire.requests_bytes c reqs) ~deps:[ dispatch ]
-           ~k:(fun delivered ->
-             if not delivered then abandon ()
-             else begin
-               let read =
-                 disk_task e acc c ~site:tsite ~phase:"O" ~db:target
-                   ~label:"check-read" ~bytes:(Wire.check_read_bytes c reqs) ()
-               in
-               let eval =
-                 cpu_task e acc c ~site:tsite ~phase:"O" ~db:target
-                   ~label:"check-eval" ~units:(units_of_work s.Checks.work)
-                   ~deps:[ read ] ()
-               in
-               ignore
-                 (retrying_transfer e acc c fx ~critical:false ~src:tsite
-                    ~dst:gsite ~phase:"O" ~db:target ~label:"ship-verdicts"
-                    ~bytes:(List.length s.Checks.verdicts * Wire.verdict_bytes c)
-                    ~deps:[ eval ]
-                    ~k:(fun delivered ->
-                      if delivered then begin
-                        batch_delivered.(bi) <- true;
-                        if recovery_on then
-                          List.iter
-                            (fun (r : Checks.request) ->
-                              let ks = kstate (key_of r) in
-                              ks.inflight <- remove_inflight ks.inflight target;
-                              ks.answered <- true)
-                            reqs;
-                        Engine.resolve e batch_settled
-                      end
-                      else abandon ())
-                    ())
-             end)
-           ());
-      settle_deps := batch_settled :: !settle_deps)
-    served;
-  (* Certification waits for every chain to settle; only then is the set of
-     delivered verdicts known, so the certify task (and the deep-resolution
-     round, if enabled) is submitted from the join's completion callback. *)
-  let certified_faulty = ref None in
-  let deep_faulty = ref None in
-  let answer_fence = Engine.promise e ~label:"answer" in
-  let finish_after last =
-    ignore
-      (Engine.fence e ~deps:[ last ]
-         ~attrs:(fence_attrs acc)
-         ~label:"answer-ready"
-         ~on_complete:(fun () -> Engine.resolve e answer_fence)
-         ())
-  in
-  ignore
-    (Engine.fence e
-       ~deps:(List.rev !settle_deps)
-       ~label:"collect"
-       ~on_complete:(fun () ->
-         let delivered =
-           local_verdicts
-           @ List.concat
-               (List.mapi
-                  (fun bi (_, _, (s : Checks.served)) ->
-                    if batch_delivered.(bi) then s.Checks.verdicts else [])
-                  served)
-           (* verdicts recovered by failover/hedge batches; duplicates of
-              delivered primaries cannot arise (recovery only targets
-              unanswered keys), and a hedge racing its failover twin yields
-              independent per-target verdicts, exactly as full delivery
-              would have *)
-           @ List.concat (List.rev !extra_verdicts)
-         in
-         let cf =
-           Certify.run ~multi_valued:opts.multi_valued ~tracer fed analysis
-             ~results ~verdicts:delivered
-         in
-         certified_faulty := Some cf;
-         bump_goid acc ~phase:"I" cf.Certify.goid_lookups;
-         let certify_task =
-           cpu_task e acc c ~site:gsite ~phase:"I" ~label:"certify"
-             ~units:(units_of_work cf.Certify.work + cf.Certify.goid_lookups)
-             ()
-         in
-         if not opts.deep_certify then finish_after certify_task
-         else begin
-           let deep =
-             Deep.resolve ~multi_valued:opts.multi_valued ~tracer fed analysis
-               cf.Certify.answer
-           in
-           deep_faulty := Some deep;
-           let residual = deep.Deep.residual in
-           let per_entity_bytes =
-             List.fold_left
-               (fun bytes gcls ->
-                 bytes + c.Cost.s_loid
-                 + (List.length (Involved.attrs_of_class involved gcls) * c.Cost.s_a))
-               0 (Involved.classes involved)
-           in
-           let deep_deps =
-             List.map
-               (fun (db_name, _) ->
-                 let site = Federation.site_of fed db_name in
-                 let bytes = residual * per_entity_bytes in
+        let abandon () =
+          fx.f_abandoned <- fx.f_abandoned + List.length reqs;
+          if not recovery_on then settle []
+          else
+            abandon_keys ~reqs ~tdb:target (fun ready ->
+                spawn_recovery ~origin ~reqs:ready ~rotate_past:target
+                  ~hedge:false ~settle:(fun () -> settle []))
+        in
+        ignore
+          (leg e acc c fx ?breaker ~critical:false ~src:osite ~dst:tsite
+             ~phase:"O" ~db:target ~label:"ship-requests"
+             ~bytes:(Wire.requests_bytes c reqs) ~deps:[ dispatch ]
+             ~k:(fun delivered ~after ->
+               if not delivered then abandon ()
+               else begin
                  let read =
-                   disk_task e acc c ~site ~phase:"I" ~db:db_name
-                     ~label:"deep-read" ~bytes ~deps:[ certify_task ] ()
+                   disk_task e acc c ~site:tsite ~phase:"O" ~db:target
+                     ~label:"check-read" ~bytes:(Wire.check_read_bytes c reqs)
+                     ~deps:after ()
                  in
-                 retrying_transfer e acc c fx ~critical:true ~src:site
-                   ~dst:gsite ~phase:"I" ~db:db_name ~label:"deep-ship" ~bytes
-                   ~deps:[ read ]
-                   ~k:(fun _ -> ())
-                   ())
-               (Federation.databases fed)
-           in
-           let deep_task =
-             cpu_task e acc c ~site:gsite ~phase:"I" ~label:"deep-certify"
-               ~units:(units_of_work deep.Deep.work) ~deps:deep_deps ()
-           in
-           finish_after deep_task
-         end)
-       ());
+                 let eval =
+                   cpu_task e acc c ~site:tsite ~phase:"O" ~db:target
+                     ~label:"check-eval" ~units:(units_of_work s.Checks.work)
+                     ~deps:[ read ] ()
+                 in
+                 ignore
+                   (leg e acc c fx ~critical:false ~src:tsite ~dst:gsite
+                      ~phase:"O" ~db:target ~label:"ship-verdicts"
+                      ~bytes:(List.length s.Checks.verdicts * Wire.verdict_bytes c)
+                      ~deps:[ eval ]
+                      ~k:(fun delivered ~after ->
+                        if delivered then begin
+                          batch_delivered.(bi) <- true;
+                          if recovery_on then answer_keys ~reqs ~tdb:target;
+                          settle after
+                        end
+                        else abandon ())
+                      ())
+               end)
+             ())
+      in
+      settle_deps := List.rev_append chain !settle_deps)
+    served;
+  (* Certification runs once every chain has settled, over the verdicts
+     that arrived (and the deep-resolution round, if enabled). When every
+     primary batch delivered, those are exactly the reference's verdicts. *)
+  let all_delivered () =
+    Array.for_all Fun.id batch_delivered && !extra_verdicts = []
+  in
+  let certified = ref certified_ref in
+  let deep = ref deep_ref in
+  let fence =
+    answer_after e acc fx ~deps:(List.rev !settle_deps) @@ fun ~after ->
+    (* verdicts recovered by failover/hedge batches; duplicates of delivered
+       primaries cannot arise (recovery only targets unanswered keys), and a
+       hedge racing its failover twin yields independent per-target
+       verdicts, exactly as full delivery would have *)
+    if not (all_delivered ()) then begin
+      let delivered =
+        local_verdicts
+        @ List.concat
+            (List.mapi
+               (fun bi (_, _, (s : Checks.served)) ->
+                 if batch_delivered.(bi) then s.Checks.verdicts else [])
+               served)
+        @ List.concat (List.rev !extra_verdicts)
+      in
+      let cf =
+        Certify.run ~multi_valued:opts.multi_valued ~tracer fed analysis
+          ~results ~verdicts:delivered
+      in
+      certified := cf;
+      if opts.deep_certify then
+        deep :=
+          Some
+            (Deep.resolve ~multi_valued:opts.multi_valued ~tracer fed analysis
+               cf.Certify.answer)
+    end;
+    let cf = !certified in
+    bump_goid acc ~phase:"I" cf.Certify.goid_lookups;
+    let certify_task =
+      cpu_task e acc c ~site:gsite ~phase:"I" ~label:"certify"
+        ~units:(units_of_work cf.Certify.work + cf.Certify.goid_lookups)
+        ~deps:after ()
+    in
+    match !deep with
+    | None -> certify_task
+    | Some deep ->
+      (* Residual resolution: each database ships the projected data of the
+         residual entities' involved classes, then the global site resolves. *)
+      let per_entity_bytes =
+        List.fold_left
+          (fun bytes gcls ->
+            bytes + c.Cost.s_loid
+            + (List.length (Involved.attrs_of_class involved gcls) * c.Cost.s_a))
+          0 (Involved.classes involved)
+      in
+      let deep_deps =
+        List.map
+          (fun (db_name, _) ->
+            let site = Federation.site_of fed db_name in
+            let bytes = deep.Deep.residual * per_entity_bytes in
+            let read =
+              disk_task e acc c ~site ~phase:"I" ~db:db_name ~label:"deep-read"
+                ~bytes ~deps:[ certify_task ] ()
+            in
+            leg e acc c fx ~critical:true ~src:site ~dst:gsite ~phase:"I"
+              ~db:db_name ~label:"deep-ship" ~bytes ~deps:[ read ] ())
+          (Federation.databases fed)
+      in
+      cpu_task e acc c ~site:gsite ~phase:"I" ~label:"deep-certify"
+        ~units:(units_of_work deep.Deep.work) ~deps:deep_deps ()
+  in
   let check_requests =
     List.fold_left (fun n ph -> n + List.length ph.built.Checks.requests) 0 phases
   in
@@ -1980,23 +1503,21 @@ let build_localized_faulty e ?after ~acc ~tracer ~fx opts ~parallel
   in
   {
     acc;
-    fence = answer_fence;
+    fence;
     finish =
       (fun () ->
-        let cf =
-          match !certified_faulty with Some cf -> cf | None -> certified_ref
-        in
+        let cf = !certified in
         let pre =
-          match !deep_faulty with
+          match !deep with
           | Some d -> d.Deep.answer
           | None -> cf.Certify.answer
         in
-        let refc = Answer.goids ref_answer Answer.Certain in
-        let refm = Answer.goids ref_answer Answer.Maybe in
         (* Suspect promotions (certain although the reference is not — a
            lost eliminating verdict) and resurrections (eliminated by the
            reference but kept as maybe here) are always demoted/marked. *)
-        let base =
+        let base () =
+          let refc = Answer.goids ref_answer Answer.Certain in
+          let refm = Answer.goids ref_answer Answer.Maybe in
           Oid.Goid.Set.union
             (Oid.Goid.Set.diff (Answer.goids pre Answer.Certain) refc)
             (Oid.Goid.Set.diff (Answer.goids pre Answer.Maybe)
@@ -2004,10 +1525,13 @@ let build_localized_faulty e ?after ~acc ~tracer ~fx opts ~parallel
         in
         let mark, recovered_rows =
           if fx.f_partial then
-            (Oid.Goid.Set.union base (Answer.goids pre Answer.Certain),
+            (Oid.Goid.Set.union (base ()) (Answer.goids pre Answer.Certain),
              Oid.Goid.Set.empty)
+          else if all_delivered () then
+            (* [pre] is the reference itself: nothing to demote *)
+            (Oid.Goid.Set.empty, Oid.Goid.Set.empty)
           else if not recovery_on then
-            (Oid.Goid.Set.union base (affected ()), Oid.Goid.Set.empty)
+            (Oid.Goid.Set.union (base ()) (affected ()), Oid.Goid.Set.empty)
           else begin
             (* With failover, a key only demotes its rows if it ended the
                run unanswered — no batch, primary or recovery, delivered a
@@ -2024,13 +1548,15 @@ let build_localized_faulty e ?after ~acc ~tracer ~fx opts ~parallel
                   Hashtbl.replace unanswered_items (origin, item) ())
               kstates;
             let mark =
-              Oid.Goid.Set.union base (rows_with_items unanswered_items)
+              Oid.Goid.Set.union (base ()) (rows_with_items unanswered_items)
             in
             (mark, Oid.Goid.Set.diff (rows_with_items failed_items) mark)
           end
         in
         fx.f_recovered <- Oid.Goid.Set.cardinal recovered_rows;
-        let final = Answer.demote pre ~goids:mark in
+        let final =
+          if Oid.Goid.Set.is_empty mark then pre else Answer.demote pre ~goids:mark
+        in
         let final =
           if not recovery_on then final
           else begin
@@ -2112,45 +1638,19 @@ let build e ?after ?trace_id ~reg ~tracer options strategy fed analysis =
     ~args:[ ("strategy", acc.sname) ]
     ("build:" ^ acc.sname)
   @@ fun () ->
-  if Fault.is_none options.fault then
-    match strategy with
-    | Ca -> build_ca e ?after ~acc ~tracer options fed analysis
-    | Bl ->
-      build_localized e ?after ~acc ~tracer options ~parallel:false
-        ~signatures:false fed analysis
-    | Pl ->
-      build_localized e ?after ~acc ~tracer options ~parallel:true
-        ~signatures:false fed analysis
-    | Bls ->
-      build_localized e ?after ~acc ~tracer options ~parallel:false
-        ~signatures:true fed analysis
-    | Pls ->
-      build_localized e ?after ~acc ~tracer options ~parallel:true
-        ~signatures:true fed analysis
-    | Lo ->
-      build_localized e ?after ~acc ~tracer options ~parallel:false
-        ~checks:false ~signatures:false fed analysis
-    | Cf -> build_cf e ?after ~acc ~tracer options fed analysis
-  else
-    let fx = new_fault_ctx options in
-    match strategy with
-    | Ca -> build_ca_faulty e ?after ~acc ~tracer ~fx options fed analysis
-    | Bl ->
-      build_localized_faulty e ?after ~acc ~tracer ~fx options ~parallel:false
-        ~signatures:false fed analysis
-    | Pl ->
-      build_localized_faulty e ?after ~acc ~tracer ~fx options ~parallel:true
-        ~signatures:false fed analysis
-    | Bls ->
-      build_localized_faulty e ?after ~acc ~tracer ~fx options ~parallel:false
-        ~signatures:true fed analysis
-    | Pls ->
-      build_localized_faulty e ?after ~acc ~tracer ~fx options ~parallel:true
-        ~signatures:true fed analysis
-    | Lo ->
-      build_localized_faulty e ?after ~acc ~tracer ~fx options ~parallel:false
-        ~checks:false ~signatures:false fed analysis
-    | Cf -> build_cf_faulty e ?after ~acc ~tracer ~fx options fed analysis
+  let fx = new_fault_ctx options in
+  let localized ~parallel ?checks ~signatures () =
+    build_localized e ?after ~acc ~tracer ~fx options ~parallel ?checks
+      ~signatures fed analysis
+  in
+  match strategy with
+  | Ca -> build_ca e ?after ~acc ~tracer ~fx options fed analysis
+  | Bl -> localized ~parallel:false ~signatures:false ()
+  | Pl -> localized ~parallel:true ~signatures:false ()
+  | Bls -> localized ~parallel:false ~signatures:true ()
+  | Pls -> localized ~parallel:true ~signatures:true ()
+  | Lo -> localized ~parallel:false ~checks:false ~signatures:false ()
+  | Cf -> build_cf e ?after ~acc ~tracer ~fx options fed analysis
 
 let finalize_registry reg strategy ~total ~response =
   let labels = [ ("strategy", to_string strategy) ] in
@@ -2290,80 +1790,6 @@ let phase_breakdown m =
       | Some (busy, n) -> (phase, busy, n)
       | None -> (phase, Time.zero, 0))
     [ "O"; "P"; "I" ]
-
-type concurrent_query = {
-  started : Time.t;
-  completed : Time.t;
-  q_strategy : t;
-  q_answer : Answer.t;
-  q_registry : Metrics.t;
-  q_work_units : int;
-  q_bytes_shipped : int;
-  q_goid_lookups : int;
-}
-
-type concurrent_outcome = {
-  queries : concurrent_query list;
-  combined_total : Time.t;
-  combined_makespan : Time.t;
-}
-
-let run_concurrent ?(options = default_options) fed jobs =
-  validate_options options;
-  let e = Engine.create ~trace:true () in
-  apply_site_speeds e options.site_speeds;
-  Fault.install options.fault e;
-  let built =
-    List.mapi
-      (fun i (strategy, analysis, arrival) ->
-        let after =
-          if Time.compare arrival Time.zero > 0 then
-            Some (Engine.delay e ~label:"arrival" ~duration:arrival ())
-          else None
-        in
-        (* Each job owns its registry and tracer: one query's counters can
-           never bleed into another's, no matter how the engine interleaves
-           their tasks. The per-job trace id keeps the causal trees
-           separable in the shared engine trace. *)
-        let reg = Metrics.create () in
-        let tracer = Tracer.create () in
-        let trace_id = Printf.sprintf "q%d" i in
-        ( strategy,
-          arrival,
-          reg,
-          trace_id,
-          build e ?after ~trace_id ~reg ~tracer options strategy fed analysis ))
-      jobs
-  in
-  Engine.run e;
-  let stats = Engine.stats e in
-  {
-    queries =
-      List.map
-        (fun (strategy, arrival, reg, trace_id, b) ->
-          let f = b.finish () in
-          let completed = Engine.finish_time e b.fence in
-          if options.telemetry then begin
-            record_latency_histograms reg ~sname:(to_string strategy)
-              ~only_trace:trace_id
-              (Trace.entries (Engine.trace e));
-            observe_query_latency reg ~sname:(to_string strategy)
-              (Time.sub completed arrival)
-          end;
-          {
-            started = arrival;
-            completed;
-            q_strategy = strategy;
-            q_answer = f.f_answer;
-            q_registry = reg;
-            q_work_units = Metrics.total reg "msdq_work_units_total";
-            q_bytes_shipped = Metrics.total reg "msdq_bytes_shipped_total";
-            q_goid_lookups = Metrics.total reg "msdq_goid_lookups_total";
-          })
-        built;
-    combined_total = Stats.total_busy stats;
-    combined_makespan = Stats.makespan stats;
-  }
 
 let run_query ?options strategy fed src =
   match Parser.parse_result src with

@@ -107,6 +107,13 @@ val effective_timeout : ?latency_of:(int -> float option) -> retry -> dst:int ->
     Exposed so the serve layer and experiments resolve exactly the timeout
     the executors use. *)
 
+val backoff_wait : retry -> base:Time.t -> int -> Time.t
+(** [backoff_wait r ~base i] is the wait after losing attempt [i] (from 1)
+    of a retry chain whose first wait is [base]:
+    [base x r.backoff^min(i - 1, 6)]. The exponent cap keeps the waits of
+    arbitrarily long chains finite. Every executor's retry chain waits by
+    this law — the strategies' and the workload engine's alike. *)
+
 type options = {
   cost : Cost.t;
   deep_certify : bool;
@@ -228,40 +235,31 @@ type metrics = {
           all-zero for fault-free runs *)
 }
 
+type local_phase = {
+  plan : Msdq_query.Localize.db_plan;
+  result : Local_result.t;
+  built : Checks.built;  (** the database's check requests *)
+  probe_work : Msdq_odb.Meter.snapshot option;  (** PL only *)
+}
+(** One database's host-side part of a localized strategy: its local
+    evaluation and the assistant checks it dispatches. *)
+
+val compute_local_phases :
+  parallel:bool -> checks:bool -> signatures:Sig_catalog.t option ->
+  tracer:Msdq_obs.Tracer.t -> Federation.t -> Analysis.t ->
+  Localize.db_plan list -> local_phase list
+(** The local phase of every planned database, in plan order: with
+    [parallel] (PL), probe every root object and build its checks, then
+    evaluate; otherwise evaluate and build checks for the maybe rows only
+    (BL), or none at all when [checks] is false (LO). [signatures]
+    pre-filters single-attribute equality checks (BLS/PLS). Shared by the
+    strategies and the workload engine. *)
+
 val run : ?options:options -> t -> Federation.t -> Analysis.t -> Answer.t * metrics
 
 val phase_breakdown : metrics -> (string * Time.t * int) list
 (** Busy time and task count per paper phase, computed from the task trace's
     [phase] attributes. Always three entries, in order [O]; [P]; [I]. *)
-
-type concurrent_query = {
-  started : Time.t;  (** arrival time of the query *)
-  completed : Time.t;  (** when its answer was assembled *)
-  q_strategy : t;
-  q_answer : Answer.t;
-  q_registry : Msdq_obs.Metrics.t;
-      (** this query's own registry — isolated from its co-runners *)
-  q_work_units : int;
-  q_bytes_shipped : int;
-  q_goid_lookups : int;
-}
-
-type concurrent_outcome = {
-  queries : concurrent_query list;  (** in submission order *)
-  combined_total : Time.t;
-  combined_makespan : Time.t;
-}
-
-val run_concurrent :
-  ?options:options -> Federation.t -> (t * Analysis.t * Time.t) list ->
-  concurrent_outcome
-(** Multi-query workloads (extension): several queries share one simulated
-    system — same sites, same FIFO resources — so they interfere exactly
-    where real executions would. Each job is (strategy, analyzed query,
-    arrival time); a query's tasks become eligible at its arrival.
-    Per-query latency is [completed - started]. Each job owns a private
-    metrics registry, so per-query counts stay independent however the
-    engine interleaves their tasks. *)
 
 val run_query :
   ?options:options -> t -> Federation.t -> string -> (Answer.t * metrics, string) result

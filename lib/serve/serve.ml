@@ -192,10 +192,6 @@ let leg_fate sched (retry : Strategy.retry) ?latency_of ~src ~dst ~label ~at
      entirely, so which legs deliver — and hence which rows demote — is
      identical under static and adaptive policies; only the waits differ. *)
   let timeout = Strategy.effective_timeout ?latency_of retry ~dst in
-  let wait_of k =
-    Time.us
-      (Time.to_us timeout *. (retry.Strategy.backoff ** float_of_int (k - 1)))
-  in
   let rec go k wait =
     let dropped =
       down || cut
@@ -205,7 +201,7 @@ let leg_fate sched (retry : Strategy.retry) ?latency_of ~src ~dst ~label ~at
     in
     if not dropped then { delivered = true; attempts = k; extra_wait = wait }
     else
-      let wait = Time.add wait (wait_of k) in
+      let wait = Time.add wait (Strategy.backoff_wait retry ~base:timeout k) in
       if k >= retry.Strategy.max_attempts then
         { delivered = false; attempts = k; extra_wait = wait }
       else go (k + 1) wait
@@ -538,12 +534,11 @@ let prepare (cfg : config) fed tracer ~extent_caches ~verdict_cache
       let signed = st = Strategy.Bls || st = Strategy.Pls in
       let checks_on = st <> Strategy.Lo in
       let signatures = if signed then Some (Lazy.force signatures) else None in
-      let plans = Localize.plan fed analysis in
       let n_targets = List.length analysis.Analysis.targets in
       let locals =
         List.map
-          (fun (plan : Localize.db_plan) ->
-            let db_name = plan.Localize.db in
+          (fun (ph : Strategy.local_phase) ->
+            let db_name = ph.Strategy.plan.Localize.db in
             let site = Federation.site_of fed db_name in
             let touched = Touch.count fed analysis ~db:db_name in
             let read_bytes =
@@ -563,41 +558,14 @@ let prepare (cfg : config) fed tracer ~extent_caches ~verdict_cache
                   false
             in
             if read_hit then incr extent_hits;
-            let probe =
-              if parallel then Some (Probe.run ~tracer fed analysis ~db:db_name)
-              else None
-            in
-            let result = Local_eval.run ~tracer fed analysis ~db:db_name in
-            let built =
-              if not checks_on then
-                {
-                  Checks.requests = [];
-                  local_verdicts = [];
-                  filtered = 0;
-                  incapable = 0;
-                  root_level = 0;
-                  goid_lookups = 0;
-                  work = Meter.zero;
-                }
-              else
-                let items =
-                  match probe with
-                  | Some p -> p.Probe.items
-                  | None ->
-                      List.concat_map
-                        (fun (row : Local_result.row) -> row.Local_result.unsolved)
-                        result.Local_result.rows
-                in
-                Checks.build ?signatures ~tracer fed analysis ~db:db_name
-                  ~root_class:plan.Localize.local_class ~items
-            in
+            let result = ph.Strategy.result in
+            let built = ph.Strategy.built in
             {
               l_db = db_name;
               l_site = site;
               l_result = result;
               l_built = built;
-              l_probe_units =
-                Option.map (fun p -> units_of_work p.Probe.work) probe;
+              l_probe_units = Option.map units_of_work ph.Strategy.probe_work;
               l_read_bytes = read_bytes;
               l_read_hit = read_hit;
               l_eval_units =
@@ -609,30 +577,13 @@ let prepare (cfg : config) fed tracer ~extent_caches ~verdict_cache
                 Wire.results_bytes c ~n_targets result
                 + List.length built.Checks.local_verdicts * Wire.verdict_bytes c;
             })
-          plans
+          (Strategy.compute_local_phases ~parallel ~checks:checks_on
+             ~signatures ~tracer fed analysis (Localize.plan fed analysis))
       in
-      (* Check batches per (origin, target), in discovery order. *)
-      let batches : (string * string, Checks.request list ref) Hashtbl.t =
-        Hashtbl.create 16
-      in
-      let order = ref [] in
-      List.iter
-        (fun l ->
-          List.iter
-            (fun (r : Checks.request) ->
-              let key = (r.Checks.origin_db, r.Checks.target_db) in
-              match Hashtbl.find_opt batches key with
-              | Some acc -> acc := r :: !acc
-              | None ->
-                  Hashtbl.add batches key (ref [ r ]);
-                  order := key :: !order)
-            l.l_built.Checks.requests)
-        locals;
       let retry = opts.Strategy.retry in
       let groups =
         List.map
-          (fun ((origin, target) as key) ->
-            let reqs = List.rev !(Hashtbl.find batches key) in
+          (fun ((origin, target), reqs) ->
             let tsite = Federation.site_of fed target in
             (* Fate first — a doomed round trip never consults the cache,
                so warm demotions coincide with cold ones. *)
@@ -722,7 +673,8 @@ let prepare (cfg : config) fed tracer ~extent_caches ~verdict_cache
               g_doomed = doomed;
               g_deadline_est = (if doomed then est else Time.zero);
             })
-          (List.rev !order)
+          (Checks.batches
+             (List.concat_map (fun l -> l.l_built.Checks.requests) locals))
       in
       (* Certification: the fault-free reference uses every verdict; lost
          batches are withheld to find exactly which rows demote. *)

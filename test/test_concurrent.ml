@@ -1,9 +1,13 @@
-(* Multi-query workloads sharing one simulated system (extension). *)
+(* Multi-query workloads sharing one simulated system (extension), run
+   through the workload engine with its caches, batching window and
+   message framing switched off — the plain shared-engine executor. *)
 
 open Msdq_simkit
 open Msdq_fed
 open Msdq_query
 open Msdq_exec
+open Msdq_workload
+module Serve = Msdq_serve.Serve
 
 let setup () =
   let ex = Paper_example.build () in
@@ -15,23 +19,89 @@ let setup () =
 let q1 = Paper_example.q1
 let q2 = "select X.name from Student X where X.age > 25"
 
-(* One query alone behaves exactly like Strategy.run. *)
-let test_single_job_equals_run () =
-  let fed, analyze = setup () in
-  let analysis = analyze q1 in
-  let solo_answer, solo = Strategy.run Strategy.Bl fed analysis in
-  let out = Strategy.run_concurrent fed [ (Strategy.Bl, analysis, Time.zero) ] in
-  match out.Strategy.queries with
-  | [ q ] ->
-    Alcotest.(check bool) "same answer" true
-      (Answer.same_statuses solo_answer q.Strategy.q_answer);
-    Alcotest.(check (float 1e-6)) "same latency"
-      (Time.to_us solo.Strategy.response)
-      (Time.to_us q.Strategy.completed);
-    Alcotest.(check (float 1e-6)) "same total"
-      (Time.to_us solo.Strategy.total)
-      (Time.to_us out.Strategy.combined_total)
-  | _ -> Alcotest.fail "one query expected"
+let cold =
+  {
+    Serve.default_config with
+    Serve.cache_bytes = 0;
+    window = Time.zero;
+    msg_header_bytes = 0;
+  }
+
+(* Jobs are (strategy, analysis, arrival); the outcome carries the engine
+   trace so busy work can be summed. *)
+let serve fed jobs =
+  Serve.run ~trace:true cold fed
+    (List.map
+       (fun (strategy, analysis, arrival) ->
+         { Serve.strategy; analysis; arrival; deadline = None })
+       jobs)
+
+(* All resource work in the system: every task that occupied a site. *)
+let busy (o : Serve.outcome) =
+  List.fold_left
+    (fun acc (e : Trace.entry) ->
+      match e.Trace.site with
+      | Some _ -> acc +. Time.to_us (Time.sub e.Trace.finish e.Trace.start)
+      | None -> acc)
+    0.0 o.Serve.trace
+
+let latency_us (r : Serve.query_report) = Time.to_us r.Serve.latency
+
+let rec make_case seed attempt =
+  if attempt > 20 then None
+  else
+    let cfg =
+      {
+        Synth.default with
+        Synth.seed = (seed * 37) + attempt;
+        p_host = 1.0;
+        p_attr_present = 0.7;
+        p_null = 0.15;
+        p_copy = 0.4;
+      }
+    in
+    let fed = Synth.generate cfg in
+    let rng = Rng.create ~seed:(seed + (attempt * 1013)) in
+    let query = Synth.random_query rng cfg ~disjunctive:(seed mod 2 = 0) in
+    let schema = Global_schema.schema (Federation.global_schema fed) in
+    match Analysis.analyze schema query with
+    | analysis -> Some (fed, analysis)
+    | exception Analysis.Error _ -> make_case seed (attempt + 1)
+
+(* One query alone behaves exactly like Strategy.run: same answer, its
+   latency is the solo response time and its busy work the solo total. CF
+   has no serve-path integration. *)
+let prop_single_job_equals_run =
+  QCheck.Test.make ~name:"single job equals run" ~count:40
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      match make_case seed 0 with
+      | None -> true
+      | Some (fed, analysis) ->
+        List.for_all
+          (fun s ->
+            let solo_answer, solo = Strategy.run s fed analysis in
+            let out = serve fed [ (s, analysis, Time.zero) ] in
+            match out.Serve.reports with
+            | [ r ] ->
+              let ok =
+                String.equal
+                  (Serve.answer_fingerprint solo_answer)
+                  (Serve.answer_fingerprint r.Serve.answer)
+                && Float.abs (Time.to_us solo.Strategy.response -. latency_us r)
+                   < 1e-6
+                && Float.abs (Time.to_us solo.Strategy.total -. busy out) < 1e-6
+              in
+              if not ok then
+                Printf.eprintf
+                  "single job differs from Strategy.run: %s, case seed %d \
+                   (replay: QCHECK_SEED=%s dune exec test/main.exe -- test \
+                   exec.concurrent)\n%!"
+                  (Strategy.to_string s) seed
+                  (Option.value ~default:"<random>" (Sys.getenv_opt "QCHECK_SEED"));
+              ok
+            | _ -> false)
+          (List.filter (fun s -> s <> Strategy.Cf) Strategy.all))
 
 (* Two simultaneous queries interfere: each one's latency is at least its
    solo latency, and combined work is the sum of solo works. *)
@@ -41,24 +111,24 @@ let test_interference () =
   let _, solo1 = Strategy.run Strategy.Bl fed a1 in
   let _, solo2 = Strategy.run Strategy.Bl fed a2 in
   let out =
-    Strategy.run_concurrent fed
-      [ (Strategy.Bl, a1, Time.zero); (Strategy.Bl, a2, Time.zero) ]
+    serve fed [ (Strategy.Bl, a1, Time.zero); (Strategy.Bl, a2, Time.zero) ]
   in
-  (match out.Strategy.queries with
+  (match out.Serve.reports with
   | [ x1; x2 ] ->
     Alcotest.(check bool) "q1 at least solo latency" true
-      (Time.to_us x1.Strategy.completed +. 1e-9 >= Time.to_us solo1.Strategy.response);
+      (latency_us x1 +. 1e-9 >= Time.to_us solo1.Strategy.response);
     Alcotest.(check bool) "q2 at least solo latency" true
-      (Time.to_us x2.Strategy.completed +. 1e-9 >= Time.to_us solo2.Strategy.response);
+      (latency_us x2 +. 1e-9 >= Time.to_us solo2.Strategy.response);
     Alcotest.(check bool) "someone actually waited" true
-      (Time.to_us x1.Strategy.completed > Time.to_us solo1.Strategy.response
-      || Time.to_us x2.Strategy.completed > Time.to_us solo2.Strategy.response)
+      (latency_us x1 > Time.to_us solo1.Strategy.response
+      || latency_us x2 > Time.to_us solo2.Strategy.response)
   | _ -> Alcotest.fail "two queries expected");
   Alcotest.(check (float 1e-6)) "work adds up"
-    (Time.to_us solo1.Strategy.total +. Time.to_us solo2.Strategy.total)
-    (Time.to_us out.Strategy.combined_total);
+    (busy (serve fed [ (Strategy.Bl, a1, Time.zero) ])
+    +. busy (serve fed [ (Strategy.Bl, a2, Time.zero) ]))
+    (busy out);
   Alcotest.(check bool) "makespan below serial execution" true
-    (Time.to_us out.Strategy.combined_makespan
+    (Time.to_us out.Serve.makespan
     <= Time.to_us solo1.Strategy.response +. Time.to_us solo2.Strategy.response +. 1e-6)
 
 (* Arrival staggering: a query arriving after the first one finished sees no
@@ -69,18 +139,15 @@ let test_staggered_arrivals () =
   let _, solo1 = Strategy.run Strategy.Bl fed a1 in
   let _, solo2 = Strategy.run Strategy.Bl fed a2 in
   let late = Time.add solo1.Strategy.response (Time.us 10.0) in
-  let out =
-    Strategy.run_concurrent fed
-      [ (Strategy.Bl, a1, Time.zero); (Strategy.Bl, a2, late) ]
-  in
-  match out.Strategy.queries with
+  let out = serve fed [ (Strategy.Bl, a1, Time.zero); (Strategy.Bl, a2, late) ] in
+  match out.Serve.reports with
   | [ x1; x2 ] ->
     Alcotest.(check (float 1e-6)) "first query undisturbed"
       (Time.to_us solo1.Strategy.response)
-      (Time.to_us x1.Strategy.completed);
+      (Time.to_us x1.Serve.completed);
     Alcotest.(check (float 1e-6)) "second query undisturbed after its arrival"
       (Time.to_us solo2.Strategy.response)
-      (Time.to_us x2.Strategy.completed -. Time.to_us x2.Strategy.started)
+      (Time.to_us x2.Serve.completed -. Time.to_us x2.Serve.arrival)
   | _ -> Alcotest.fail "two queries expected"
 
 (* Mixed strategies in one system work and keep their answers. *)
@@ -88,72 +155,64 @@ let test_mixed_strategies () =
   let fed, analyze = setup () in
   let a1 = analyze q1 in
   let out =
-    Strategy.run_concurrent fed
+    serve fed
       [
         (Strategy.Ca, a1, Time.zero);
         (Strategy.Bl, a1, Time.zero);
         (Strategy.Pl, a1, Time.zero);
       ]
   in
-  match out.Strategy.queries with
+  match out.Serve.reports with
   | [ ca; bl; pl ] ->
     Alcotest.(check bool) "all agree on Q1" true
-      (Answer.same_statuses ca.Strategy.q_answer bl.Strategy.q_answer
-      && Answer.same_statuses bl.Strategy.q_answer pl.Strategy.q_answer)
+      (Answer.same_statuses ca.Serve.answer bl.Serve.answer
+      && Answer.same_statuses bl.Serve.answer pl.Serve.answer)
   | _ -> Alcotest.fail "three queries expected"
 
-(* Regression: counter isolation. Before the per-run metrics registry the
-   counters lived in process-global refs, so two queries sharing the engine
-   bled bytes/work/lookups into each other's reports. Each concurrent
-   query's counts must now equal its solo run's counts exactly, however the
-   engine interleaves the two. *)
+(* Counter isolation: each query owns its registry, so two queries sharing
+   the engine never bleed bytes or work into each other's reports. Each
+   concurrent query's counters must equal its solo run's exactly, however
+   the engine interleaves the two. *)
 let test_counter_independence () =
   let fed, analyze = setup () in
   let a1 = analyze q1 and a2 = analyze q2 in
-  let _, solo1 = Strategy.run Strategy.Bl fed a1 in
-  let _, solo2 = Strategy.run Strategy.Ca fed a2 in
-  let out =
-    Strategy.run_concurrent fed
-      [ (Strategy.Bl, a1, Time.zero); (Strategy.Ca, a2, Time.zero) ]
+  let solo s a =
+    match (serve fed [ (s, a, Time.zero) ]).Serve.reports with
+    | [ r ] -> r
+    | _ -> Alcotest.fail "one query expected"
   in
-  match out.Strategy.queries with
+  let solo1 = solo Strategy.Bl a1 and solo2 = solo Strategy.Ca a2 in
+  let counters (r : Serve.query_report) = Msdq_obs.Metrics.counters r.Serve.registry in
+  let total name (r : Serve.query_report) =
+    Msdq_obs.Metrics.total r.Serve.registry name
+  in
+  let out =
+    serve fed [ (Strategy.Bl, a1, Time.zero); (Strategy.Ca, a2, Time.zero) ]
+  in
+  match out.Serve.reports with
   | [ x1; x2 ] ->
-    Alcotest.(check int) "q1 work units" solo1.Strategy.work_units
-      x1.Strategy.q_work_units;
-    Alcotest.(check int) "q1 bytes shipped" solo1.Strategy.bytes_shipped
-      x1.Strategy.q_bytes_shipped;
-    Alcotest.(check int) "q1 goid lookups" solo1.Strategy.goid_lookups
-      x1.Strategy.q_goid_lookups;
-    Alcotest.(check int) "q2 work units" solo2.Strategy.work_units
-      x2.Strategy.q_work_units;
-    Alcotest.(check int) "q2 bytes shipped" solo2.Strategy.bytes_shipped
-      x2.Strategy.q_bytes_shipped;
-    Alcotest.(check int) "q2 goid lookups" solo2.Strategy.goid_lookups
-      x2.Strategy.q_goid_lookups;
+    List.iter
+      (fun (what, solo, x) ->
+        List.iter
+          (fun name ->
+            Alcotest.(check int) (what ^ " " ^ name) (total name solo) (total name x))
+          [ "msdq_work_units_total"; "msdq_bytes_shipped_total"; "msdq_disk_bytes_total" ];
+        Alcotest.(check bool) (what ^ " counters equal its solo run's") true
+          (counters solo = counters x))
+      [ ("q1", solo1, x1); ("q2", solo2, x2) ];
+    Alcotest.(check bool) "q1 shipped bytes" true
+      (total "msdq_bytes_shipped_total" x1 > 0);
     (* and the registries really are distinct objects with distinct labels *)
-    Alcotest.(check (option int)) "q1 registry is BL-labelled"
-      (Some solo1.Strategy.bytes_shipped)
-      (Some
-         (List.fold_left
-            (fun acc (name, labels, v) ->
-              if
-                name = "msdq_bytes_shipped_total"
-                && List.assoc_opt "strategy" labels = Some "BL"
-              then acc + v
-              else acc)
-            0
-            (Msdq_obs.Metrics.counters x1.Strategy.q_registry)));
     Alcotest.(check int) "q2 registry has no BL series" 0
       (List.length
          (List.filter
-            (fun (_, labels, _) ->
-              List.assoc_opt "strategy" labels = Some "BL")
-            (Msdq_obs.Metrics.counters x2.Strategy.q_registry)))
+            (fun (_, labels, _) -> List.assoc_opt "strategy" labels = Some "BL")
+            (counters x2)))
   | _ -> Alcotest.fail "two queries expected"
 
 let suite =
   [
-    Alcotest.test_case "single job equals run" `Quick test_single_job_equals_run;
+    QCheck_alcotest.to_alcotest prop_single_job_equals_run;
     Alcotest.test_case "interference" `Quick test_interference;
     Alcotest.test_case "staggered arrivals" `Quick test_staggered_arrivals;
     Alcotest.test_case "mixed strategies" `Quick test_mixed_strategies;

@@ -596,7 +596,7 @@ let random_gray_schedule ~seed ~n_db ~horizon =
     ?flap
     ~oneway:(0.6 *. Rng.float rng) ()
 
-(* Replayable chaos failures: a failing draw prints everything needed to
+(* Replayable property failures: a failing draw prints everything needed to
    replay it by hand — the qcheck seed CI rotates and exports, the exact
    schedule rendered by [Fault.pp], and the repro command — before the
    property reports false (or re-raises). *)
@@ -605,7 +605,7 @@ let report_failure ~case_seed fault =
     match Sys.getenv_opt "QCHECK_SEED" with Some s -> s | None -> "<random>"
   in
   Format.eprintf
-    "@[<v>gray chaos failure: case seed %d, QCHECK_SEED=%s@,%a@,replay: \
+    "@[<v>fault property failure: case seed %d, QCHECK_SEED=%s@,%a@,replay: \
      QCHECK_SEED=%s dune exec test/main.exe -- test fault@]@."
     case_seed qcheck_seed Fault.pp fault qcheck_seed
 
@@ -687,6 +687,61 @@ let prop_chaos_deterministic =
         in
         String.equal (bytes ()) (bytes ()))
 
+(* ---- the leg policy's only branch ----
+
+   An inert schedule — one link with no loss, no inflation and no jitter —
+   is not [Fault.none], so every transfer takes the fallible legs (retry
+   chains, delivery callbacks, the collect fence). Nothing can actually
+   fail, so the run must match the [Fault.none] run, which takes the
+   infallible legs: same answer, same total and response, same messages
+   and bytes. Every strategy, deep certification on and off. *)
+let prop_inert_equals_none =
+  QCheck.Test.make ~name:"inert schedule equals Fault.none" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      match make_case seed 0 with
+      | None -> true
+      | Some (fed, analysis) ->
+        let inert =
+          {
+            Fault.none with
+            Fault.seed;
+            links =
+              [
+                {
+                  Fault.dst = seed mod (List.length (Federation.databases fed) + 1);
+                  drop = 0.0;
+                  inflate = 1.0;
+                  jitter = 0.0;
+                };
+              ];
+          }
+        in
+        replayable ~case_seed:seed inert @@ fun () ->
+        List.for_all
+          (fun (s, deep_certify) ->
+            let run fault =
+              Strategy.run
+                ~options:{ Strategy.default_options with Strategy.fault; deep_certify }
+                s fed analysis
+            in
+            let a0, m0 = run Fault.none in
+            let a1, m1 = run inert in
+            let same =
+              Answer.rows a0 = Answer.rows a1
+              && Oid.Goid.Set.equal (Answer.degraded a0) (Answer.degraded a1)
+              && Time.compare m0.Strategy.total m1.Strategy.total = 0
+              && Time.compare m0.Strategy.response m1.Strategy.response = 0
+              && m0.Strategy.messages = m1.Strategy.messages
+              && m0.Strategy.bytes_shipped = m1.Strategy.bytes_shipped
+            in
+            if not same then
+              Format.eprintf "inert schedule differs from Fault.none: %s%s@."
+                (Strategy.to_string s)
+                (if deep_certify then " with deep certification" else "");
+            same)
+          (List.concat_map (fun s -> [ (s, false); (s, true) ]) Strategy.all))
+
 let suite =
   [
     Alcotest.test_case "schedule validation" `Quick test_validate;
@@ -702,4 +757,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_chaos_soundness;
     QCheck_alcotest.to_alcotest prop_gray_soundness;
     QCheck_alcotest.to_alcotest prop_chaos_deterministic;
+    QCheck_alcotest.to_alcotest prop_inert_equals_none;
   ]

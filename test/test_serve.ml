@@ -391,6 +391,68 @@ let test_lost_verdicts_demote_warm_and_cold () =
   Alcotest.(check bool) "drops surfaced in the workload registry" true
     (Msdq_obs.Metrics.total warm.Serve.registry "msdq_fault_drops_total" > 0)
 
+(* ---- one backoff law ---- *)
+
+(* Retry waits follow Strategy.backoff_wait on both executors: the exponent
+   is capped, so however many attempts a leg may take its waits stay
+   finite. Uncapped, 1100 attempts grew the serve path's abandon delay to
+   infinity and the engine rejected the task. *)
+let test_long_retry_chains_stay_finite () =
+  let fed, analyze = setup () in
+  let analysis = analyze Paper_example.q1 in
+  let sites =
+    0 :: List.map (fun (db, _) -> Federation.site_of fed db) (Federation.databases fed)
+  in
+  let options ~max_attempts ~dsts =
+    {
+      Strategy.default_options with
+      Strategy.fault =
+        {
+          Fault.none with
+          Fault.seed = 3;
+          links =
+            List.map
+              (fun dst -> { Fault.dst; drop = 1.0; inflate = 1.0; jitter = 0.0 })
+              dsts;
+        };
+      retry = { Strategy.default_retry with Strategy.max_attempts };
+    }
+  in
+  let every_link = options ~max_attempts:1100 ~dsts:sites in
+  let _, solo = Strategy.run ~options:every_link Strategy.Bl fed analysis in
+  Alcotest.(check bool) "Strategy.run demotes" true
+    (solo.Strategy.availability.Strategy.demoted > 0);
+  (match (Serve.run (config ~options:every_link ()) fed [ job Strategy.Bl analysis ]).Serve.reports with
+  | [ r ] ->
+    Alcotest.(check bool) "Serve.run returns with the rows demoted" true
+      (not (Oid.Goid.Set.is_empty (Answer.degraded r.Serve.answer)));
+    Alcotest.(check bool) "finite latency" true (Time.is_finite r.Serve.latency)
+  | _ -> Alcotest.fail "one report expected");
+  (* Requests into the component sites are lost 12 times; verdicts into
+     the global site get through, so each abandon waits exactly the
+     request leg's capped series: timeout x sum_k 2^min(k - 1, 6). *)
+  let twelve = options ~max_attempts:12 ~dsts:(List.tl sites) in
+  let series_us =
+    Time.to_us Strategy.default_retry.Strategy.timeout
+    *. List.fold_left ( +. ) 0.0
+         (List.init 12 (fun i -> 2.0 ** Float.min (float_of_int i) 6.0))
+  in
+  let out =
+    Serve.run ~trace:true (config ~options:twelve ()) fed [ job Strategy.Bl analysis ]
+  in
+  let abandons =
+    List.filter
+      (fun (e : Trace.entry) ->
+        String.starts_with ~prefix:"serve:q0:abandon:" e.Trace.label)
+      out.Serve.trace
+  in
+  Alcotest.(check bool) "some round trip abandoned" true (abandons <> []);
+  List.iter
+    (fun (e : Trace.entry) ->
+      Alcotest.(check (float 1e-6)) "abandon waits the capped series" series_us
+        (Time.to_us (Time.sub e.Trace.finish e.Trace.start)))
+    abandons
+
 (* ---- mixed-strategy stream sanity ---- *)
 
 let test_mixed_stream () =
@@ -926,6 +988,8 @@ let suite =
     Alcotest.test_case "crash invalidates cache" `Quick test_crash_invalidates_cache;
     Alcotest.test_case "lost verdicts demote warm and cold" `Quick
       test_lost_verdicts_demote_warm_and_cold;
+    Alcotest.test_case "long retry chains stay finite" `Quick
+      test_long_retry_chains_stay_finite;
     Alcotest.test_case "mixed-strategy stream" `Quick test_mixed_stream;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
     Alcotest.test_case "shed policy parsing" `Quick test_shed_policy_parse;
