@@ -4,6 +4,7 @@
    - a concrete-engine validation: the same sweeps at reduced scale on real
      generated data through the actual executors (not the parametric model);
    - a signature-filtering ablation (future-work extension);
+   - every sweep in Sweep.registry, at full or smoke size;
    - Bechamel microbenchmarks of the core operators.
 
    Usage: dune exec bench/main.exe [-- --quick | -- --samples N]
@@ -13,22 +14,15 @@
    (schema "msdq-bench/10", see Run_report) with the per-strategy
    simulated times on the demo workload, the bechamel wall-clock
    medians, the run's seed, a parallel section (jobs, measured speedup
-   of a calibration sweep), a fault_sweep section (certain-set recall
-   and response under injected site crashes), a recovery_sweep
-   section (retry-only vs failover vs failover+hedging recall and
-   demotion counts), a serve_sweep section (workload-engine
-   throughput vs cache capacity and admission window), a latency
-   section (per-strategy query-latency quantiles from a
-   telemetry-enabled serve run), an overload_sweep section (goodput and
-   tail latency vs offered load per shed policy) and an auto_sweep section (AUTO's
-   adaptive selection vs every fixed strategy — the validator enforces
-   the win condition), a gray_sweep section (gray-failure tolerance)
-   and a microbench section (columnar-engine throughput: boxed vs
-   columnar local evaluation and signature filtering, plus
-   certification rows/sec); --out DIR picks the directory, --jobs N sizes
-   the domain pool (default: all cores; 1 = sequential), --smoke runs
-   a reduced version for CI, and --check FILE validates an existing
-   result file against the schema (/1../10 all accepted). *)
+   of a calibration sweep), one section per registered sweep (its
+   validator enforces the sweep's win condition), a latency section
+   (per-strategy query-latency quantiles from a telemetry-enabled serve
+   run) and a microbench section (columnar-engine throughput: boxed vs
+   columnar local evaluation and signature filtering, plus certification
+   rows/sec); --out DIR picks the directory, --jobs N sizes the domain
+   pool (default: all cores; 1 = sequential), --smoke runs a reduced
+   version for CI, and --check FILE validates an existing result file
+   against the schema (/6../10 accepted). *)
 
 open Msdq_fed
 open Msdq_query
@@ -288,12 +282,8 @@ let straggler_study () =
 (* simulated system; mean latency under load separates the strategies    *)
 (* further than single-query response time does.                         *)
 
-let throughput_study () =
-  let module Serve = Msdq_serve.Serve in
-  section "throughput";
-  Format.printf "Multi-query workloads (extension): 8 queries arrive at a@.";
-  Format.printf "fixed interval; all share the simulated sites, so they queue@.";
-  Format.printf "on disks, CPUs and the global site's incoming link.@.@.";
+(* The synthetic federation and four-query mix both serve studies share. *)
+let serve_workload () =
   let cfg =
     {
       Synth.default with
@@ -320,6 +310,15 @@ let throughput_study () =
           (Parser.parse q))
       queries
   in
+  (fed, analyses)
+
+let throughput_study () =
+  let module Serve = Msdq_serve.Serve in
+  section "throughput";
+  Format.printf "Multi-query workloads (extension): 8 queries arrive at a@.";
+  Format.printf "fixed interval; all share the simulated sites, so they queue@.";
+  Format.printf "on disks, CPUs and the global site's incoming link.@.@.";
+  let fed, analyses = serve_workload () in
   Format.printf "%-6s %-14s %14s %14s %14s@." "strat" "interval" "mean latency"
     "max latency" "makespan";
   List.iter
@@ -364,83 +363,28 @@ let throughput_study () =
     [ Strategy.Ca; Strategy.Bl; Strategy.Pl ]
 
 (* ------------------------------------------------------------------ *)
-(* Fault sweep (robustness extension): the concrete executors under site  *)
-(* crashes and lossy links — response degradation and certain-set recall. *)
+(* The registered sweeps (Sweep.registry), each at smoke or full size,   *)
+(* printed with its own table; their sections go into the JSON file.    *)
 
-let fault_study ?pool ~seed ~samples () =
-  section "fault-sweep";
-  Format.printf
-    "Fault injection (extension): random recoverable crash schedules and@.\
-     5%% lossy links on the component sites. Recall = fraction of the@.\
-     fault-free certain results the degraded run still certifies; the@.\
-     fail-stop series is a client of the same faulty BL execution that@.\
-     aborts on any loss instead of degrading.@.@.";
-  let sweep = Fault_sweep.run ?pool ~seed ~samples () in
-  Format.printf "%-10s" "series";
-  Array.iter (fun a -> Format.printf " %8s" (Printf.sprintf "a=%.2f" a)) sweep.Fault_sweep.xs;
-  Format.printf "@.";
-  List.iter
-    (fun (ser : Fault_sweep.series) ->
-      Format.printf "%-10s" (ser.Fault_sweep.label ^ " rec");
-      Array.iter (fun r -> Format.printf " %8.3f" r) ser.Fault_sweep.recalls;
-      Format.printf "@.%-10s" (ser.Fault_sweep.label ^ " rsp");
-      Array.iter (fun r -> Format.printf " %7.4fs" r) ser.Fault_sweep.responses;
-      Format.printf "@.")
-    sweep.Fault_sweep.series;
-  sweep
-
-(* ------------------------------------------------------------------ *)
-(* Recovery sweep (failover extension): retry-only vs failover vs        *)
-(* failover+hedging on the same faulty executions.                       *)
-
-let recovery_study ?pool ~seed ~samples () =
-  section "recovery-sweep";
-  Format.printf
-    "Failover recovery (extension): the same chaos grid, comparing the@.\
-     recovery policies on each faulty execution. retry = per-link retries@.\
-     only; failover adds replica re-routing behind per-link circuit@.\
-     breakers; hedged also races a duplicate check to the second-best@.\
-     replica. CA has no check round trips, so its triple is the flat@.\
-     control. The a=1.00 column is lossy-link-only, not fault-free.@.@.";
-  let sweep = Fault_sweep.run_recovery ?pool ~seed ~samples () in
-  Format.printf "%-14s" "series";
-  Array.iter
-    (fun a -> Format.printf " %8s" (Printf.sprintf "a=%.2f" a))
-    sweep.Fault_sweep.rxs;
-  Format.printf "@.";
-  List.iter
-    (fun (ser : Fault_sweep.rseries) ->
-      Format.printf "%-14s" (ser.Fault_sweep.r_label ^ " rec");
-      Array.iter (fun r -> Format.printf " %8.3f" r) ser.Fault_sweep.r_recalls;
-      Format.printf "@.%-14s" (ser.Fault_sweep.r_label ^ " dem");
-      Array.iter (fun d -> Format.printf " %8.2f" d) ser.Fault_sweep.r_demoted;
-      Format.printf "@.")
-    sweep.Fault_sweep.rseries;
-  sweep
-
-let serve_study ?pool ~seed ~samples () =
-  section "serve-sweep";
-  Format.printf
-    "Workload engine (extension): repeated-query streams through the@.\
-     multi-query serve layer. Throughput = queries per simulated second;@.\
-     speedup = warm-over-cold makespan ratio at each cache capacity@.\
-     (capacity 0 is the cold anchor). Caching and batching never change@.\
-     an answer — the cache-soundness property the test suite checks.@.@.";
-  let sweep = Serve_sweep.run ?pool ~seed ~samples () in
-  Format.printf "%-12s" "series";
-  Array.iter
-    (fun kib -> Format.printf " %10s" (Printf.sprintf "%gKiB" kib))
-    sweep.Serve_sweep.xs;
-  Format.printf "@.";
-  List.iter
-    (fun (ser : Serve_sweep.series) ->
-      Format.printf "%-12s" (ser.Serve_sweep.label ^ " q/s");
-      Array.iter (fun t -> Format.printf " %10.2f" t) ser.Serve_sweep.throughputs;
-      Format.printf "@.%-12s" (ser.Serve_sweep.label ^ " spd");
-      Array.iter (fun s -> Format.printf " %10.3f" s) ser.Serve_sweep.speedups;
-      Format.printf "@.")
-    sweep.Serve_sweep.series;
-  sweep
+let sweeps ?pool ~seed ~smoke () =
+  List.map
+    (fun (spec : Sweep.t) ->
+      section spec.Sweep.id;
+      let o =
+        spec.Sweep.run
+          {
+            Sweep.pool;
+            registry = None;
+            progress = None;
+            samples = (if smoke then spec.Sweep.smoke_samples else None);
+            seed;
+            drop = None;
+            inflate = None;
+          }
+      in
+      Format.printf "%t@." o.Sweep.pp;
+      (spec, o.Sweep.json))
+    Sweep.registry
 
 (* ------------------------------------------------------------------ *)
 (* Latency quantiles (telemetry extension): a telemetry-enabled serve run  *)
@@ -454,32 +398,7 @@ let latency_study () =
      workload engine with telemetry histograms enabled; per-strategy@.\
      p50/p90/p99/max of query latency (arrival to answer).@.@.";
   let module Serve = Msdq_serve.Serve in
-  let cfg =
-    {
-      Synth.default with
-      Synth.seed = 23;
-      n_entities = 200;
-      p_host = 1.0;
-      p_attr_present = 0.75;
-      p_null = 0.12;
-    }
-  in
-  let fed = Synth.generate cfg in
-  let queries =
-    [
-      "select X.key from K0 X where X.p0 = 2 and X.next.p1 = 1";
-      "select X.key from K0 X where X.p1 = 3";
-      "select X.key from K0 X where X.next.p0 = 0 and X.p2 = 1";
-      "select X.key from K0 X where X.p0 = 1 or X.p1 = 2";
-    ]
-  in
-  let analyses =
-    List.map
-      (fun q ->
-        Analysis.analyze (Global_schema.schema (Federation.global_schema fed))
-          (Parser.parse q))
-      queries
-  in
+  let fed, analyses = serve_workload () in
   let scfg =
     {
       Serve.default_config with
@@ -516,100 +435,6 @@ let latency_study () =
       [ Strategy.Ca; Strategy.Bl; Strategy.Pl ]
   in
   summaries
-
-(* ------------------------------------------------------------------ *)
-(* AUTO vs fixed strategies: the optimizer's win condition, recorded in the
-   JSON file's auto_sweep section. Smoke and full runs use identical
-   parameters so the CI bench gate can compare results across runs. *)
-
-let auto_study ~seed () =
-  section "auto";
-  Format.printf
-    "Adaptive strategy selection (AUTO): one mixed workload served once@.\
-     per fixed candidate strategy and once under the cost-based@.\
-     optimizer. Win condition: AUTO makespan <= best fixed makespan.@.@.";
-  let a = Auto_sweep.run ~seed () in
-  Format.printf "%-8s %12s@." "strategy" "makespan";
-  List.iter
-    (fun f ->
-      Format.printf "%-8s %10.2fms@."
-        (Strategy.to_string f.Auto_sweep.f_strategy)
-        (f.Auto_sweep.f_makespan_s *. 1e3))
-    a.Auto_sweep.fixed;
-  Format.printf "%-8s %10.2fms@." "AUTO" (a.Auto_sweep.auto_makespan_s *. 1e3);
-  Format.printf "@.decisions:";
-  List.iter
-    (fun (s, n) -> Format.printf " %s=%d" s n)
-    a.Auto_sweep.decisions;
-  Format.printf "  switches=%d@." a.Auto_sweep.switches;
-  Format.printf "estimator rank matches: %d/%d (%.0f%%)@."
-    a.Auto_sweep.rank_matches a.Auto_sweep.distinct
-    (a.Auto_sweep.rank_match_rate *. 100.0);
-  a
-
-(* ------------------------------------------------------------------ *)
-(* Overload robustness: goodput and tail latency vs offered load per shed
-   policy, recorded in the JSON file's overload_sweep section. Every cell
-   is pure in (seed, policy, multiplier), so smoke and full runs produce
-   identical sections the CI bench gate can compare across commits. *)
-
-let overload_study ?pool ~seed () =
-  section "overload";
-  Format.printf
-    "Overload robustness: one BL workload offered at 0.5x..3x capacity,@.\
-     served naively (unbounded queue, no deadline) and under each shed@.\
-     policy with a depth-bounded queue and a deadline budget. Win@.\
-     condition: admitted p99 under rejecting policies stays within 2x@.\
-     the at-capacity p99 while the naive tail grows without bound.@.@.";
-  let o = Overload_sweep.run ?pool ~seed () in
-  Format.printf
-    "capacity (solo response) %.2fms, deadline %.2fms, queue depth %d@.@."
-    o.Overload_sweep.solo_response_ms o.Overload_sweep.deadline_ms
-    o.Overload_sweep.queue_limit;
-  Format.printf "%-14s %5s %8s %5s %9s %5s %9s %9s@." "policy" "load"
-    "admitted" "shed" "goodput" "hit" "p50" "p99";
-  List.iter
-    (fun (p : Overload_sweep.point) ->
-      Format.printf "%-14s %4.1fx %5d/%-2d %5d %7.1f/s %5.2f %7.2fms %7.2fms@."
-        p.Overload_sweep.pt_policy p.Overload_sweep.pt_multiplier
-        p.Overload_sweep.pt_admitted p.Overload_sweep.pt_offered
-        p.Overload_sweep.pt_shed p.Overload_sweep.pt_goodput
-        p.Overload_sweep.pt_hit_rate p.Overload_sweep.pt_p50_ms
-        p.Overload_sweep.pt_p99_ms)
-    o.Overload_sweep.points;
-  Format.printf "@.at-capacity p99 %.2fms, tail bound %.2fms@."
-    o.Overload_sweep.cap_p99_ms
-    (2.0 *. o.Overload_sweep.cap_p99_ms);
-  o
-
-(* ------------------------------------------------------------------ *)
-(* Gray-failure tolerance: static vs adaptive retry timeouts across the
-   gray fault kinds, recorded in the JSON file's gray_sweep section. Every
-   cell is pure in (seed, policy, kind, severity), so smoke and full runs
-   produce identical sections the CI bench gate can compare across
-   commits. *)
-
-let gray_study ?pool ~seed () =
-  section "gray";
-  Format.printf
-    "Gray-failure tolerance: one BL workload served per (timeout policy,@.\
-     fault kind, severity) cell over a lossy link. Win condition: the@.\
-     adaptive arm demotes no more rows than the static arm on every cell@.\
-     and cuts mean response on the slowdown cells by at least %.0f%%.@.@."
-    (100.0 *. Gray_sweep.response_margin);
-  let g = Gray_sweep.run ?pool ~seed () in
-  Format.printf "static timeout %.2fms, baseline drop %.2f@.@."
-    g.Gray_sweep.static_timeout_ms g.Gray_sweep.drop;
-  Format.printf "%-9s %-9s %-7s %8s %6s %9s %9s@." "policy" "kind" "sev"
-    "demoted" "aband" "mean" "p99";
-  List.iter
-    (fun (p : Gray_sweep.point) ->
-      Format.printf "%-9s %-9s %-7s %8d %6d %7.2fms %7.2fms@."
-        p.Gray_sweep.pt_policy p.Gray_sweep.pt_kind p.Gray_sweep.pt_severity
-        p.Gray_sweep.pt_demoted_rows p.Gray_sweep.pt_abandoned_checks
-        p.Gray_sweep.pt_mean_ms p.Gray_sweep.pt_p99_ms)
-    g.Gray_sweep.points;
-  g
 
 (* ------------------------------------------------------------------ *)
 (* Per-strategy simulated times on the demo workload, for the JSON file. *)
@@ -886,14 +711,11 @@ let timestamp () =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
 
-let write_bench_json ~out ~seed ~parallel ~fault_sweep ~recovery_sweep
-    ~serve_sweep ~latency ~auto_sweep ~overload_sweep ~gray_sweep ~microbench
-    ~wall =
+let write_bench_json ~out ~seed ~parallel ~sweeps ~latency ~microbench ~wall =
   let generated_at = timestamp () in
   let doc =
-    Run_report.bench_to_json ~generated_at ~seed ~parallel ~fault_sweep
-      ~recovery_sweep ~serve_sweep ~latency ~auto_sweep ~overload_sweep
-      ~gray_sweep ~microbench ~strategies:(strategy_times ()) ~wall
+    Run_report.bench_to_json ~generated_at ~seed ~parallel ~sweeps ~latency
+      ~microbench ~strategies:(strategy_times ()) ~wall
   in
   (match Run_report.validate_bench doc with
   | Ok () -> ()
@@ -911,10 +733,12 @@ let write_bench_json ~out ~seed ~parallel ~fault_sweep ~recovery_sweep
   Format.printf "@.wrote %s@." path
 
 let check_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let contents = really_input_string ic len in
-  close_in ic;
+  let contents =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error msg ->
+      Format.eprintf "cannot read %s@." msg;
+      exit 1
+  in
   match Msdq_obs.Json.of_string contents with
   | Error msg ->
     Format.eprintf "%s: not valid JSON: %s@." path msg;
@@ -953,11 +777,11 @@ let () =
         "N  domain-pool size for the sweeps (default: all cores; 1 = sequential)" );
       ( "--smoke",
         Arg.Set smoke,
-        " minimal run for CI: skip the sweeps, still write the JSON file" );
+        " reduced run for CI: smoke-size sweeps, still write the JSON file" );
       ("--out", Arg.Set_string out, "DIR  directory for BENCH_<timestamp>.json (default .)");
       ( "--check",
         Arg.String (fun f -> check := Some f),
-        "FILE  validate FILE against the bench schema (/1../10) and exit" );
+        "FILE  validate FILE against the bench schema (/6../10) and exit" );
     ]
   in
   Arg.parse spec
@@ -982,22 +806,16 @@ let () =
     Format.printf "seed: %d, jobs: %d@." !seed jobs;
     if !smoke then begin
       Format.printf
-        "smoke mode: strategy times, parallel calibration + a minimal \
-         microbench only.@.";
+        "smoke mode: smoke-size sweeps, strategy times, parallel \
+         calibration and a minimal microbench.@.";
       tables ();
       let parallel = calibrate ?pool ~seed:!seed ~samples:40 () in
-      let fault_sweep = fault_study ?pool ~seed:!seed ~samples:3 () in
-      let recovery_sweep = recovery_study ?pool ~seed:!seed ~samples:2 () in
-      let serve_sweep = serve_study ?pool ~seed:!seed ~samples:2 () in
+      let sweeps = sweeps ?pool ~seed:!seed ~smoke:true () in
       let latency = latency_study () in
-      let auto_sweep = auto_study ~seed:!seed () in
-      let overload_sweep = overload_study ?pool ~seed:!seed () in
-      let gray_sweep = gray_study ?pool ~seed:!seed () in
       let microbench = microbench_study ~objects:20_000 () in
       let wall = microbenches ~quota:0.05 () in
-      write_bench_json ~out:!out ~seed:!seed ~parallel ~fault_sweep
-        ~recovery_sweep ~serve_sweep ~latency ~auto_sweep ~overload_sweep
-        ~gray_sweep ~microbench ~wall
+      write_bench_json ~out:!out ~seed:!seed ~parallel ~sweeps ~latency
+        ~microbench ~wall
     end
     else begin
       Format.printf "parameter draws per point: %d@." !samples;
@@ -1008,17 +826,11 @@ let () =
       straggler_study ();
       throughput_study ();
       let parallel = calibrate ?pool ~seed:!seed ~samples:!samples () in
-      let fault_sweep = fault_study ?pool ~seed:!seed ~samples:12 () in
-      let recovery_sweep = recovery_study ?pool ~seed:!seed ~samples:8 () in
-      let serve_sweep = serve_study ?pool ~seed:!seed ~samples:6 () in
+      let sweeps = sweeps ?pool ~seed:!seed ~smoke:false () in
       let latency = latency_study () in
-      let auto_sweep = auto_study ~seed:!seed () in
-      let overload_sweep = overload_study ?pool ~seed:!seed () in
-      let gray_sweep = gray_study ?pool ~seed:!seed () in
       let microbench = microbench_study ~objects:200_000 () in
       let wall = microbenches ~quota:0.4 () in
-      write_bench_json ~out:!out ~seed:!seed ~parallel ~fault_sweep
-        ~recovery_sweep ~serve_sweep ~latency ~auto_sweep ~overload_sweep
-        ~gray_sweep ~microbench ~wall;
+      write_bench_json ~out:!out ~seed:!seed ~parallel ~sweeps ~latency
+        ~microbench ~wall;
       Format.printf "@.done.@."
     end

@@ -77,12 +77,6 @@ let deep_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-let samples_arg =
-  Arg.(
-    value & opt int 500
-    & info [ "samples" ]
-        ~doc:"Parameter draws per configuration (the paper uses 500).")
-
 let write_json path json =
   match open_out path with
   | exception Sys_error msg ->
@@ -302,283 +296,89 @@ let query_cmd =
 
 (* ---- experiment ---- *)
 
-let pp_fault_sweep ppf (sweep : Fault_sweep.sweep) =
-  Format.fprintf ppf "@[<v>%s — %s@,(%d samples per level, seed %d)@,@,"
-    sweep.Fault_sweep.id sweep.Fault_sweep.title sweep.Fault_sweep.samples
-    sweep.Fault_sweep.seed;
-  Format.fprintf ppf "%-16s" sweep.Fault_sweep.xlabel;
-  Array.iter
-    (fun a -> Format.fprintf ppf " %9s" (Printf.sprintf "%.2f" a))
-    sweep.Fault_sweep.xs;
-  Format.fprintf ppf "@,";
-  List.iter
-    (fun (ser : Fault_sweep.series) ->
-      Format.fprintf ppf "%-16s" (ser.Fault_sweep.label ^ " recall");
-      Array.iter (fun r -> Format.fprintf ppf " %9.3f" r) ser.Fault_sweep.recalls;
-      Format.fprintf ppf "@,%-16s" (ser.Fault_sweep.label ^ " response");
-      Array.iter
-        (fun r -> Format.fprintf ppf " %8.4fs" r)
-        ser.Fault_sweep.responses;
-      Format.fprintf ppf "@,")
-    sweep.Fault_sweep.series;
-  Format.fprintf ppf "@]"
+let write_csv ~json dir ~id contents =
+  let path = Filename.concat dir (id ^ ".csv") in
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  if not json then Format.printf "wrote %s@." path
 
-let fault_sweep_csv (sweep : Fault_sweep.sweep) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "availability";
-  List.iter
-    (fun (ser : Fault_sweep.series) ->
-      Buffer.add_string b
-        (Printf.sprintf ",%s_recall,%s_response_s" ser.Fault_sweep.label
-           ser.Fault_sweep.label))
-    sweep.Fault_sweep.series;
-  Buffer.add_char b '\n';
-  Array.iteri
-    (fun i a ->
-      Buffer.add_string b (Printf.sprintf "%g" a);
-      List.iter
-        (fun (ser : Fault_sweep.series) ->
-          Buffer.add_string b
-            (Printf.sprintf ",%g,%g"
-               ser.Fault_sweep.recalls.(i)
-               ser.Fault_sweep.responses.(i)))
-        sweep.Fault_sweep.series;
-      Buffer.add_char b '\n')
-    sweep.Fault_sweep.xs;
-  Buffer.contents b
-
-let run_fault_sweep ?pool ~registry ?progress ~samples ~seed ~drop ~inflate
-    ~csv ~json () =
-  (* The figure sweeps default to the paper's 500 draws per point; a
-     concrete-execution sweep at that scale would run six full strategy
-     executions per draw, so its default is smaller. An explicit --samples
-     below the figure default is honoured. *)
-  let samples = if samples = 500 then 12 else samples in
-  let drop = Option.value drop ~default:0.05 in
-  let sweep =
-    Fault_sweep.run ?pool ~registry ?progress ~samples ~seed ~drop ~inflate ()
-  in
-  if not json then Format.printf "%a@." pp_fault_sweep sweep;
-  (match csv with
-  | None -> ()
-  | Some dir ->
-    let path = Filename.concat dir (sweep.Fault_sweep.id ^ ".csv") in
-    let oc = open_out path in
-    output_string oc (fault_sweep_csv sweep);
-    close_out oc;
-    if not json then Format.printf "wrote %s@." path);
+let run_sweep (spec : Sweep.t) ctx ~registry ~csv ~json =
+  let o = spec.Sweep.run ctx in
+  if not json then Format.printf "%t@." o.Sweep.pp;
+  (match (csv, o.Sweep.csv) with
+  | Some dir, Some contents -> write_csv ~json dir ~id:spec.Sweep.id contents
+  | _ -> ());
   if json then begin
     let doc =
-      Msdq_obs.Json.Obj
-        [
-          ("fault_sweep", Run_report.fault_sweep_to_json sweep);
-          ("registry", Msdq_obs.Metrics.to_json registry);
-        ]
+      if spec.Sweep.bare_json then o.Sweep.json
+      else
+        Msdq_obs.Json.Obj
+          [
+            (spec.Sweep.section, o.Sweep.json);
+            ("registry", Msdq_obs.Metrics.to_json registry);
+          ]
     in
     print_endline (Msdq_obs.Json.to_string ~indent:2 doc)
   end;
   `Ok ()
 
-let pp_recovery_sweep ppf (sweep : Fault_sweep.recovery_sweep) =
-  Format.fprintf ppf "@[<v>%s — %s@,(%d samples per level, seed %d)@,@,"
-    sweep.Fault_sweep.rid sweep.Fault_sweep.rtitle sweep.Fault_sweep.rsamples
-    sweep.Fault_sweep.rseed;
-  Format.fprintf ppf "%-20s" sweep.Fault_sweep.rxlabel;
-  Array.iter
-    (fun a -> Format.fprintf ppf " %9s" (Printf.sprintf "%.2f" a))
-    sweep.Fault_sweep.rxs;
-  Format.fprintf ppf "@,";
-  List.iter
-    (fun (ser : Fault_sweep.rseries) ->
-      Format.fprintf ppf "%-20s" (ser.Fault_sweep.r_label ^ " recall");
-      Array.iter
-        (fun r -> Format.fprintf ppf " %9.3f" r)
-        ser.Fault_sweep.r_recalls;
-      Format.fprintf ppf "@,%-20s" (ser.Fault_sweep.r_label ^ " demoted");
-      Array.iter
-        (fun d -> Format.fprintf ppf " %9.2f" d)
-        ser.Fault_sweep.r_demoted;
-      Format.fprintf ppf "@,")
-    sweep.Fault_sweep.rseries;
-  Format.fprintf ppf "@]"
+let figure_ids =
+  [
+    "fig9"; "fig10"; "fig11"; "ablation-signatures"; "ablation-checks";
+    "ablation-semijoin";
+  ]
 
-let recovery_sweep_csv (sweep : Fault_sweep.recovery_sweep) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "availability";
-  List.iter
-    (fun (ser : Fault_sweep.rseries) ->
-      Buffer.add_string b
-        (Printf.sprintf ",%s_recall,%s_demoted,%s_response_s"
-           ser.Fault_sweep.r_label ser.Fault_sweep.r_label
-           ser.Fault_sweep.r_label))
-    sweep.Fault_sweep.rseries;
-  Buffer.add_char b '\n';
-  Array.iteri
-    (fun i a ->
-      Buffer.add_string b (Printf.sprintf "%g" a);
-      List.iter
-        (fun (ser : Fault_sweep.rseries) ->
-          Buffer.add_string b
-            (Printf.sprintf ",%g,%g,%g"
-               ser.Fault_sweep.r_recalls.(i)
-               ser.Fault_sweep.r_demoted.(i)
-               ser.Fault_sweep.r_responses.(i)))
-        sweep.Fault_sweep.rseries;
-      Buffer.add_char b '\n')
-    sweep.Fault_sweep.rxs;
-  Buffer.contents b
+let experiment_ids =
+  figure_ids @ List.map (fun (s : Sweep.t) -> s.Sweep.id) Sweep.registry
 
-let run_recovery_sweep ?pool ~registry ?progress ~samples ~seed ~drop ~inflate
-    ~csv ~json () =
-  (* Nine series of full strategy executions per draw: the default sample
-     count is smaller still than the fault sweep's. *)
-  let samples = if samples = 500 then 8 else samples in
-  let drop = Option.value drop ~default:0.2 in
-  let sweep =
-    Fault_sweep.run_recovery ?pool ~registry ?progress ~samples ~seed ~drop
-      ~inflate ()
+let run_figures which ~pool ~registry ~progress ~samples ~seed ~csv ~chart
+    ~json =
+  let figures =
+    match which with
+    | "fig9" -> [ Figures.fig9 ?pool ~registry ?progress ~samples ~seed () ]
+    | "fig10" -> [ Figures.fig10 ?pool ~registry ?progress ~samples ~seed () ]
+    | "fig11" -> [ Figures.fig11 ?pool ~registry ?progress ~samples ~seed () ]
+    | "ablation" | "ablation-signatures" ->
+      [ Figures.ablation_signatures ?pool ~registry ?progress ~samples ~seed () ]
+    | "ablation-checks" ->
+      [ Figures.ablation_checks ?pool ~registry ?progress ~samples ~seed () ]
+    | "ablation-semijoin" ->
+      [ Figures.ablation_semijoin ?pool ~registry ?progress ~samples ~seed () ]
+    | "all" -> Figures.all ?pool ~registry ?progress ~samples ~seed ()
+    | other ->
+      Format.eprintf "unknown experiment %S (%s|all)@." other
+        (String.concat "|" experiment_ids);
+      exit 1
   in
-  if not json then Format.printf "%a@." pp_recovery_sweep sweep;
-  (match csv with
-  | None -> ()
-  | Some dir ->
-    let path = Filename.concat dir (sweep.Fault_sweep.rid ^ ".csv") in
-    let oc = open_out path in
-    output_string oc (recovery_sweep_csv sweep);
-    close_out oc;
-    if not json then Format.printf "wrote %s@." path);
+  List.iter
+    (fun fig ->
+      if not json then begin
+        Format.printf "%a@.@." Report.pp_figure fig;
+        if chart then begin
+          Report.pp_ascii_chart Format.std_formatter fig ~metric:`Total;
+          Format.printf "@."
+        end;
+        Format.printf "%a@." Report.pp_checks (Shapes.check fig)
+      end;
+      Option.iter
+        (fun dir -> write_csv ~json dir ~id:fig.Figures.id (Report.to_csv fig))
+        csv)
+    figures;
   if json then begin
+    let doc = Run_report.figures_to_json figures in
     let doc =
-      Msdq_obs.Json.Obj
-        [
-          ("recovery_sweep", Run_report.recovery_sweep_to_json sweep);
-          ("registry", Msdq_obs.Metrics.to_json registry);
-        ]
+      match doc with
+      | Msdq_obs.Json.Obj fields ->
+        Msdq_obs.Json.Obj
+          (fields @ [ ("registry", Msdq_obs.Metrics.to_json registry) ])
+      | other -> other
     in
     print_endline (Msdq_obs.Json.to_string ~indent:2 doc)
   end;
   `Ok ()
 
-let pp_auto_sweep ppf (a : Auto_sweep.outcome) =
-  Format.fprintf ppf "%s — %s@.@." a.Auto_sweep.id a.Auto_sweep.title;
-  Format.fprintf ppf "%d queries (%d distinct), seed %d, %.0fms arrival spacing@.@."
-    a.Auto_sweep.queries a.Auto_sweep.distinct a.Auto_sweep.seed
-    (a.Auto_sweep.spacing_us /. 1e3);
-  Format.fprintf ppf "%-8s %12s@." "strategy" "makespan";
-  List.iter
-    (fun (f : Auto_sweep.fixed_run) ->
-      Format.fprintf ppf "%-8s %10.2fms@."
-        (Strategy.to_string f.Auto_sweep.f_strategy)
-        (f.Auto_sweep.f_makespan_s *. 1e3))
-    a.Auto_sweep.fixed;
-  Format.fprintf ppf "%-8s %10.2fms@." "AUTO"
-    (a.Auto_sweep.auto_makespan_s *. 1e3);
-  Format.fprintf ppf "@.decisions:";
-  List.iter
-    (fun (s, n) -> Format.fprintf ppf " %s=%d" s n)
-    a.Auto_sweep.decisions;
-  Format.fprintf ppf "  switches=%d@." a.Auto_sweep.switches;
-  Format.fprintf ppf "estimator rank matches: %d/%d (%.0f%%)@."
-    a.Auto_sweep.rank_matches a.Auto_sweep.distinct
-    (a.Auto_sweep.rank_match_rate *. 100.0)
-
-let run_auto_sweep ~registry ?progress ~seed ~json () =
-  (* The sweep is a handful of serve runs on one fixed-size federation; it
-     needs no domain pool and ignores --samples. *)
-  let a = Auto_sweep.run ~registry ?progress ~seed () in
-  if not json then Format.printf "%a@." pp_auto_sweep a
-  else begin
-    let doc =
-      Msdq_obs.Json.Obj
-        [
-          ("auto_sweep", Run_report.auto_sweep_to_json a);
-          ("registry", Msdq_obs.Metrics.to_json registry);
-        ]
-    in
-    print_endline (Msdq_obs.Json.to_string ~indent:2 doc)
-  end;
-  `Ok ()
-
-let pp_overload_sweep ppf (o : Overload_sweep.outcome) =
-  Format.fprintf ppf "%s — %s@.@." o.Overload_sweep.id o.Overload_sweep.title;
-  Format.fprintf ppf
-    "%d queries per cell, seed %d; capacity (solo response) %.2fms, deadline \
-     %.2fms, queue depth %d@.@."
-    o.Overload_sweep.queries o.Overload_sweep.seed
-    o.Overload_sweep.solo_response_ms o.Overload_sweep.deadline_ms
-    o.Overload_sweep.queue_limit;
-  Format.fprintf ppf "%-14s %5s %8s %5s %9s %5s %9s %9s %8s@." "policy" "load"
-    "admitted" "shed" "goodput" "hit" "p50" "p99" "abandon";
-  List.iter
-    (fun (pt : Overload_sweep.point) ->
-      Format.fprintf ppf
-        "%-14s %4.1fx %5d/%-2d %5d %7.1f/s %5.2f %7.2fms %7.2fms %8d@."
-        pt.Overload_sweep.pt_policy pt.Overload_sweep.pt_multiplier
-        pt.Overload_sweep.pt_admitted pt.Overload_sweep.pt_offered
-        pt.Overload_sweep.pt_shed pt.Overload_sweep.pt_goodput
-        pt.Overload_sweep.pt_hit_rate pt.Overload_sweep.pt_p50_ms
-        pt.Overload_sweep.pt_p99_ms pt.Overload_sweep.pt_abandoned_checks)
-    o.Overload_sweep.points;
-  Format.fprintf ppf
-    "@.at-capacity p99 %.2fms; rejecting policies hold p99 within %.2fms at \
-     every overloaded point@."
-    o.Overload_sweep.cap_p99_ms
-    (2.0 *. o.Overload_sweep.cap_p99_ms)
-
-let run_overload_sweep ?pool ~registry ?progress ~seed ~json () =
-  let o = Overload_sweep.run ?pool ~registry ?progress ~seed () in
-  if not json then Format.printf "%a@." pp_overload_sweep o
-  else begin
-    let doc =
-      Msdq_obs.Json.Obj
-        [
-          ("overload_sweep", Run_report.overload_sweep_to_json o);
-          ("registry", Msdq_obs.Metrics.to_json registry);
-        ]
-    in
-    print_endline (Msdq_obs.Json.to_string ~indent:2 doc)
-  end;
-  `Ok ()
-
-let pp_gray_sweep ppf (o : Gray_sweep.outcome) =
-  Format.fprintf ppf "%s — %s@.@." o.Gray_sweep.id o.Gray_sweep.title;
-  Format.fprintf ppf
-    "%d queries per cell, seed %d; static timeout %.2fms, baseline drop \
-     %.2f@.@."
-    o.Gray_sweep.queries o.Gray_sweep.seed o.Gray_sweep.static_timeout_ms
-    o.Gray_sweep.drop;
-  Format.fprintf ppf "%-9s %-9s %-7s %8s %6s %9s %9s %5s@." "policy" "kind"
-    "sev" "demoted" "aband" "mean" "p99" "gray";
-  List.iter
-    (fun (pt : Gray_sweep.point) ->
-      Format.fprintf ppf "%-9s %-9s %-7s %8d %6d %7.2fms %7.2fms %5d@."
-        pt.Gray_sweep.pt_policy pt.Gray_sweep.pt_kind pt.Gray_sweep.pt_severity
-        pt.Gray_sweep.pt_demoted_rows pt.Gray_sweep.pt_abandoned_checks
-        pt.Gray_sweep.pt_mean_ms pt.Gray_sweep.pt_p99_ms
-        pt.Gray_sweep.pt_gray_sites)
-    o.Gray_sweep.points;
-  Format.fprintf ppf
-    "@.win condition: adaptive demotes no more rows than static on every \
-     cell and cuts mean response on the slowdown cells by at least %.0f%%@."
-    (100.0 *. Gray_sweep.response_margin)
-
-let run_gray_sweep ?pool ~registry ?progress ~seed ~json () =
-  let o = Gray_sweep.run ?pool ~registry ?progress ~seed () in
-  if not json then Format.printf "%a@." pp_gray_sweep o
-  else begin
-    let doc =
-      Msdq_obs.Json.Obj
-        [
-          ("gray_sweep", Run_report.gray_sweep_to_json o);
-          ("registry", Msdq_obs.Metrics.to_json registry);
-        ]
-    in
-    print_endline (Msdq_obs.Json.to_string ~indent:2 doc)
-  end;
-  `Ok ()
-
-let experiment which fault_sweep recovery_sweep auto_sweep overload_sweep
-    gray_sweep samples seed jobs drop inflate csv chart json progress =
+let experiment which samples seed jobs drop inflate csv chart json progress =
   let registry = Msdq_obs.Metrics.create () in
   let progress =
     if progress then
@@ -599,69 +399,23 @@ let experiment which fault_sweep recovery_sweep auto_sweep overload_sweep
   let pool = if jobs > 1 then Some (Msdq_par.Pool.create ~jobs ()) else None in
   Fun.protect ~finally:(fun () -> Option.iter Msdq_par.Pool.shutdown pool)
   @@ fun () ->
-  if fault_sweep || String.equal which "fault-sweep" then
-    run_fault_sweep ?pool ~registry ?progress ~samples ~seed ~drop ~inflate
-      ~csv ~json ()
-  else if recovery_sweep || String.equal which "recovery-sweep" then
-    run_recovery_sweep ?pool ~registry ?progress ~samples ~seed ~drop ~inflate
-      ~csv ~json ()
-  else if auto_sweep || String.equal which "auto-sweep" then
-    run_auto_sweep ~registry ?progress ~seed ~json ()
-  else if overload_sweep || String.equal which "overload-sweep" then
-    run_overload_sweep ?pool ~registry ?progress ~seed ~json ()
-  else if gray_sweep || String.equal which "gray-sweep" then
-    run_gray_sweep ?pool ~registry ?progress ~seed ~json ()
-  else
-  let figures =
-    match which with
-    | "fig9" -> [ Figures.fig9 ?pool ~registry ?progress ~samples ~seed () ]
-    | "fig10" -> [ Figures.fig10 ?pool ~registry ?progress ~samples ~seed () ]
-    | "fig11" -> [ Figures.fig11 ?pool ~registry ?progress ~samples ~seed () ]
-    | "ablation" | "ablation-signatures" ->
-      [ Figures.ablation_signatures ?pool ~registry ?progress ~samples ~seed () ]
-    | "ablation-checks" ->
-      [ Figures.ablation_checks ?pool ~registry ?progress ~samples ~seed () ]
-    | "ablation-semijoin" ->
-      [ Figures.ablation_semijoin ?pool ~registry ?progress ~samples ~seed () ]
-    | "all" -> Figures.all ?pool ~registry ?progress ~samples ~seed ()
-    | other ->
-      Format.eprintf
-        "unknown experiment %S \
-         (fig9|fig10|fig11|ablation-signatures|ablation-checks|ablation-semijoin|fault-sweep|recovery-sweep|auto-sweep|overload-sweep|gray-sweep|all)@."
-        other;
-      exit 1
-  in
-  List.iter
-    (fun fig ->
-      if not json then begin
-        Format.printf "%a@.@." Report.pp_figure fig;
-        if chart then begin
-          Report.pp_ascii_chart Format.std_formatter fig ~metric:`Total;
-          Format.printf "@."
-        end;
-        Format.printf "%a@." Report.pp_checks (Shapes.check fig)
-      end;
-      match csv with
-      | None -> ()
-      | Some dir ->
-        let path = Filename.concat dir (fig.Figures.id ^ ".csv") in
-        let oc = open_out path in
-        output_string oc (Report.to_csv fig);
-        close_out oc;
-        if not json then Format.printf "wrote %s@." path)
-    figures;
-  if json then begin
-    let doc = Run_report.figures_to_json figures in
-    let doc =
-      match doc with
-      | Msdq_obs.Json.Obj fields ->
-        Msdq_obs.Json.Obj
-          (fields @ [ ("registry", Msdq_obs.Metrics.to_json registry) ])
-      | other -> other
-    in
-    print_endline (Msdq_obs.Json.to_string ~indent:2 doc)
-  end;
-  `Ok ()
+  match Sweep.find which with
+  | Some spec ->
+    run_sweep spec
+      {
+        Sweep.pool;
+        registry = Some registry;
+        progress;
+        samples;
+        seed;
+        drop;
+        inflate = Some inflate;
+      }
+      ~registry ~csv ~json
+  | None ->
+    run_figures which ~pool ~registry ~progress
+      ~samples:(Option.value samples ~default:500)
+      ~seed ~csv ~chart ~json
 
 let experiment_cmd =
   let which =
@@ -670,76 +424,21 @@ let experiment_cmd =
       & pos 0 string "all"
       & info [] ~docv:"EXPERIMENT"
           ~doc:
-            "fig9, fig10, fig11, ablation-signatures (alias: ablation), \
-             ablation-checks, ablation-semijoin, fault-sweep, \
-             recovery-sweep, auto-sweep, overload-sweep, gray-sweep or \
-             all.")
+            (Printf.sprintf
+               "One of %s (ablation is an alias of ablation-signatures), or \
+                all: every figure. The figures run the parametric simulator; \
+                the sweeps run the concrete executors (see EXPERIMENTS.md)."
+               (String.concat ", " experiment_ids)))
   in
-  let fault_sweep_flag =
+  let samples =
     Arg.(
-      value & flag
-      & info [ "fault-sweep" ]
+      value
+      & opt (some int) None
+      & info [ "samples" ] ~docv:"N"
           ~doc:
-            "Run the robustness sweep instead of the figures: the concrete \
-             CA/BL/PL executors under random site crashes and lossy links, \
-             reporting response time and certain-set recall per \
-             (availability, drop, inflate) point against a hard-failing \
-             baseline. Only availability is swept; the link knobs are fixed \
-             across the grid at $(b,--drop) (default 0.05) and \
-             $(b,--inflate) (default 1). Defaults to 12 samples per level; \
-             $(b,--samples) overrides.")
-  in
-  let recovery_sweep_flag =
-    Arg.(
-      value & flag
-      & info [ "recovery-sweep" ]
-          ~doc:
-            "Run the failover-recovery sweep instead of the figures: \
-             retry-only vs failover vs failover+hedging on the same faulty \
-             executions, reporting certain-set recall and mean demoted rows \
-             per availability level for CA, BL and PL. The availability-1.0 \
-             column keeps its lossy links ($(b,--drop), default 0.2 here) \
-             instead of going fault-free. Defaults to 8 samples per level; \
-             $(b,--samples) overrides.")
-  in
-  let auto_sweep_flag =
-    Arg.(
-      value & flag
-      & info [ "auto-sweep" ]
-          ~doc:
-            "Run the adaptive-selection experiment instead of the figures: \
-             one mixed workload served once per fixed candidate strategy \
-             (CA, BL, PL) and once under the cost-based AUTO selector, \
-             reporting makespans, per-strategy decision counts and the \
-             estimator's rank-match rate. Uses $(b,--seed); \
-             $(b,--samples) is ignored.")
-  in
-  let overload_sweep_flag =
-    Arg.(
-      value & flag
-      & info [ "overload-sweep" ]
-          ~doc:
-            "Run the overload-robustness experiment instead of the figures: \
-             one BL workload offered at 0.5x..3x the calibrated capacity, \
-             served naively (unbounded queue, no deadline) and under each \
-             shed policy with a bounded queue and a deadline budget, \
-             reporting goodput, deadline-hit rate and p50/p99 of admitted \
-             latency per (policy, load) cell. Uses $(b,--seed) and \
-             $(b,--jobs); $(b,--samples) is ignored.")
-  in
-  let gray_sweep_flag =
-    Arg.(
-      value & flag
-      & info [ "gray-sweep" ]
-          ~doc:
-            "Run the gray-failure tolerance experiment instead of the \
-             figures: one BL workload served per (timeout policy, fault \
-             kind, severity) cell — slowdown, jitter, flapping and one-way \
-             partitions over a lossy link — comparing a conservative static \
-             retransmission timeout against the telemetry-driven adaptive \
-             one, reporting demoted rows, abandoned checks and mean/p99 \
-             response per cell. Uses $(b,--seed) and $(b,--jobs); \
-             $(b,--samples) is ignored.")
+            "Draws per grid point. Default: the paper's 500 for the \
+             figures; each sweep's own default otherwise. Fixed-grid \
+             sweeps ignore it.")
   in
   let drop =
     Arg.(
@@ -748,8 +447,7 @@ let experiment_cmd =
       & info [ "drop" ] ~docv:"P"
           ~doc:
             "Loss probability of every site's incoming link in the sweeps \
-             (default 0.05 for $(b,--fault-sweep), 0.2 for \
-             $(b,--recovery-sweep)).")
+             that inject link faults (default: each sweep's own).")
   in
   let inflate =
     Arg.(
@@ -778,10 +476,8 @@ let experiment_cmd =
     with_logs
       Term.(
         ret
-          (const experiment $ which $ fault_sweep_flag $ recovery_sweep_flag
-         $ auto_sweep_flag $ overload_sweep_flag $ gray_sweep_flag
-         $ samples_arg $ seed_arg $ jobs $ drop $ inflate $ csv $ chart
-         $ json_arg $ progress_arg))
+          (const experiment $ which $ samples $ seed_arg $ jobs $ drop
+         $ inflate $ csv $ chart $ json_arg $ progress_arg))
   in
   Cmd.v
     (Cmd.info "experiment"
@@ -789,30 +485,6 @@ let experiment_cmd =
     term
 
 (* ---- serve ---- *)
-
-let pp_serve_sweep ppf (sweep : Serve_sweep.sweep) =
-  Format.fprintf ppf
-    "@[<v>%s — %s@,\
-     (%d queries per workload, %d samples, seed %d; speedup = cold/warm \
-     makespan)@,@,"
-    sweep.Serve_sweep.id sweep.Serve_sweep.title sweep.Serve_sweep.queries
-    sweep.Serve_sweep.samples sweep.Serve_sweep.seed;
-  Format.fprintf ppf "%-18s" sweep.Serve_sweep.xlabel;
-  Array.iter
-    (fun kib -> Format.fprintf ppf " %10s" (Printf.sprintf "%gKiB" kib))
-    sweep.Serve_sweep.xs;
-  Format.fprintf ppf "@,";
-  List.iter
-    (fun (ser : Serve_sweep.series) ->
-      Format.fprintf ppf "%-18s" (ser.Serve_sweep.label ^ " q/s");
-      Array.iter
-        (fun t -> Format.fprintf ppf " %10.2f" t)
-        ser.Serve_sweep.throughputs;
-      Format.fprintf ppf "@,%-18s" (ser.Serve_sweep.label ^ " speedup");
-      Array.iter (fun s -> Format.fprintf ppf " %10.3f" s) ser.Serve_sweep.speedups;
-      Format.fprintf ppf "@,")
-    sweep.Serve_sweep.series;
-  Format.fprintf ppf "@]"
 
 let serve_outcome_to_json ~query cfg (out : Msdq_serve.Serve.outcome) =
   let module Serve = Msdq_serve.Serve in
@@ -987,307 +659,286 @@ let dashboard_frames (out : Msdq_serve.Serve.outcome) =
     reports
 
 let serve queries arrival cache_mb window_us deadline_ms queue_limit
-    shed_policy strategy data synthetic seed sweep samples jobs drop inflate
-    flap_ms adaptive json dashboard store trace_out sql =
+    shed_policy strategy data synthetic seed drop inflate flap_ms adaptive json
+    dashboard store trace_out sql =
   let module Serve = Msdq_serve.Serve in
   let module Lru = Msdq_serve.Lru in
-  if sweep then begin
-    let jobs =
-      if jobs = 0 then Domain.recommended_domain_count ()
-      else if jobs >= 1 then jobs
-      else begin
-        Format.eprintf "--jobs must be >= 1 (or 0 for all cores)@.";
-        exit 1
-      end
+  if queries < 1 then begin
+    Format.eprintf "--queries must be >= 1@.";
+    exit 1
+  end;
+  if arrival <= 0.0 || Float.is_nan arrival then begin
+    Format.eprintf "--arrival must be a positive rate@.";
+    exit 1
+  end;
+  if cache_mb < 0.0 || Float.is_nan cache_mb then begin
+    Format.eprintf "--cache-mb must be >= 0@.";
+    exit 1
+  end;
+  (match deadline_ms with
+  | Some d when Float.is_nan d || d <= 0.0 || not (Float.is_finite d) ->
+    Format.eprintf "--deadline must be a positive budget in milliseconds@.";
+    exit 1
+  | _ -> ());
+  (match queue_limit with
+  | Some q when q < 1 ->
+    Format.eprintf "--queue-limit must be >= 1@.";
+    exit 1
+  | _ -> ());
+  let shed_policy =
+    match shed_policy with
+    | None -> Msdq_serve.Serve.default_config.Serve.shed_policy
+    | Some name -> (
+      match Serve.shed_policy_of_string name with
+      | Ok p -> p
+      | Error msg ->
+        Format.eprintf "--shed-policy: %s@." msg;
+        exit 1)
+  in
+  let fed = federation_of ~data ~synthetic ~seed in
+  let src = match sql with Some s -> s | None -> Paper_example.q1 in
+  let analysis = analyze_or_exit fed src in
+  let inter_us = 1e6 /. arrival in
+  let arrival_of i = Msdq_simkit.Time.us (float_of_int i *. inter_us) in
+  let telemetry = dashboard || store <> None in
+  let fault =
+    let module Fault = Msdq_fault.Fault in
+    if drop = 0.0 && inflate = 1.0 && flap_ms = 0.0 then Fault.none
+    else begin
+      let sites =
+        List.map
+          (fun (db, _) -> Federation.site_of fed db)
+          (Federation.databases fed)
+      in
+      let links =
+        if drop > 0.0 || inflate <> 1.0 then
+          List.map
+            (fun s -> { Fault.dst = s; drop; inflate; jitter = 0.0 })
+            sites
+        else []
+      in
+      let flapping =
+        if flap_ms > 0.0 then begin
+          let horizon = float_of_int queries *. inter_us in
+          let train =
+            Fault.flap_train ~from:Msdq_simkit.Time.zero
+              ~until:(Msdq_simkit.Time.us horizon)
+              ~period:(Msdq_simkit.Time.ms flap_ms)
+              ~duty:0.3
+          in
+          List.map (fun s -> { Fault.site = s; outages = train }) sites
+        end
+        else []
+      in
+      {
+        Fault.seed;
+        sites = flapping;
+        links;
+        slowdowns = [];
+        partitions = [];
+      }
+    end
+  in
+  let retry =
+    {
+      Strategy.default_retry with
+      Strategy.adaptive =
+        (if adaptive then Some Strategy.default_adaptive else None);
+    }
+  in
+  let cfg =
+    {
+      Serve.default_config with
+      Serve.cache_bytes = int_of_float (cache_mb *. 1024.0 *. 1024.0);
+      window = Msdq_simkit.Time.us window_us;
+      options =
+        { Strategy.default_options with Strategy.telemetry; fault; retry };
+      deadline = Option.map (fun d -> Msdq_simkit.Time.ms d) deadline_ms;
+      queue_limit;
+      shed_policy;
+    }
+  in
+  let out, auto_info =
+    try
+      match strategy with
+      | Strategy.Fixed strategy ->
+        let jobs_list =
+          List.init queries (fun i ->
+              { Serve.strategy; analysis; arrival = arrival_of i; deadline = None })
+        in
+        (Serve.run ~trace:(trace_out <> None) cfg fed jobs_list, None)
+      | Strategy.Auto ->
+        (* An existing --store file also feeds selection: observed
+           per-strategy latencies blend into the model's estimates. *)
+        let sel_store =
+          match store with
+          | Some path when Sys.file_exists path -> (
+            match Msdq_telemetry.Store.load path with
+            | Ok s -> Some s
+            | Error msg ->
+              Format.eprintf "cannot load %s: %s@." path msg;
+              exit 1)
+          | _ -> None
+        in
+        let a =
+          Serve.run_auto ?store:sel_store ~trace:(trace_out <> None) cfg fed
+            (List.init queries (fun i -> (analysis, arrival_of i)))
+        in
+        (a.Serve.auto, Some a)
+    with Invalid_argument msg ->
+      Format.eprintf "%s@." msg;
+      exit 1
+  in
+  if json then begin
+    let doc = serve_outcome_to_json ~query:src cfg out in
+    let doc =
+      match (auto_info, doc) with
+      | Some a, Msdq_obs.Json.Obj fields ->
+        Msdq_obs.Json.Obj
+          (fields
+          @ [
+              ( "auto",
+                Msdq_obs.Json.Obj
+                  [
+                    ( "decisions",
+                      Msdq_obs.Json.Arr
+                        (List.map
+                           (fun (d : Serve.auto_decision) ->
+                             Msdq_obs.Json.Obj
+                               [
+                                 ("index", Msdq_obs.Json.Int d.Serve.d_index);
+                                 ( "preferred",
+                                   Msdq_obs.Json.Str
+                                     (Strategy.to_string d.Serve.d_preferred)
+                                 );
+                                 ( "chosen",
+                                   Msdq_obs.Json.Str
+                                     (Strategy.to_string d.Serve.d_chosen) );
+                                 ( "switched",
+                                   Msdq_obs.Json.Bool d.Serve.d_switched );
+                               ])
+                           a.Serve.decisions) );
+                    ("switches", Msdq_obs.Json.Int a.Serve.switches);
+                  ] );
+            ])
+      | _, doc -> doc
     in
-    let pool = if jobs > 1 then Some (Msdq_par.Pool.create ~jobs ()) else None in
-    Fun.protect ~finally:(fun () -> Option.iter Msdq_par.Pool.shutdown pool)
-    @@ fun () ->
-    let sweep = Serve_sweep.run ?pool ~samples ~seed () in
-    if json then
-      print_endline
-        (Msdq_obs.Json.to_string ~indent:2 (Run_report.serve_sweep_to_json sweep))
-    else Format.printf "%a@." pp_serve_sweep sweep;
-    `Ok ()
+    print_endline (Msdq_obs.Json.to_string ~indent:2 doc)
   end
   else begin
-    if queries < 1 then begin
-      Format.eprintf "--queries must be >= 1@.";
-      exit 1
-    end;
-    if arrival <= 0.0 || Float.is_nan arrival then begin
-      Format.eprintf "--arrival must be a positive rate@.";
-      exit 1
-    end;
-    if cache_mb < 0.0 || Float.is_nan cache_mb then begin
-      Format.eprintf "--cache-mb must be >= 0@.";
-      exit 1
-    end;
-    (match deadline_ms with
-    | Some d when Float.is_nan d || d <= 0.0 || not (Float.is_finite d) ->
-      Format.eprintf "--deadline must be a positive budget in milliseconds@.";
-      exit 1
-    | _ -> ());
-    (match queue_limit with
-    | Some q when q < 1 ->
-      Format.eprintf "--queue-limit must be >= 1@.";
-      exit 1
-    | _ -> ());
-    let shed_policy =
-      match shed_policy with
-      | None -> Msdq_serve.Serve.default_config.Serve.shed_policy
-      | Some name -> (
-        match Serve.shed_policy_of_string name with
-        | Ok p -> p
-        | Error msg ->
-          Format.eprintf "--shed-policy: %s@." msg;
-          exit 1)
-    in
-    let fed = federation_of ~data ~synthetic ~seed in
-    let src = match sql with Some s -> s | None -> Paper_example.q1 in
-    let analysis = analyze_or_exit fed src in
-    let inter_us = 1e6 /. arrival in
-    let arrival_of i = Msdq_simkit.Time.us (float_of_int i *. inter_us) in
-    let telemetry = dashboard || store <> None in
-    let fault =
-      let module Fault = Msdq_fault.Fault in
-      if drop = 0.0 && inflate = 1.0 && flap_ms = 0.0 then Fault.none
-      else begin
-        let sites =
-          List.map
-            (fun (db, _) -> Federation.site_of fed db)
-            (Federation.databases fed)
-        in
-        let links =
-          if drop > 0.0 || inflate <> 1.0 then
-            List.map
-              (fun s -> { Fault.dst = s; drop; inflate; jitter = 0.0 })
-              sites
-          else []
-        in
-        let flapping =
-          if flap_ms > 0.0 then begin
-            let horizon = float_of_int queries *. inter_us in
-            let train =
-              Fault.flap_train ~from:Msdq_simkit.Time.zero
-                ~until:(Msdq_simkit.Time.us horizon)
-                ~period:(Msdq_simkit.Time.ms flap_ms)
-                ~duty:0.3
-            in
-            List.map (fun s -> { Fault.site = s; outages = train }) sites
-          end
-          else []
-        in
-        {
-          Fault.seed;
-          sites = flapping;
-          links;
-          slowdowns = [];
-          partitions = [];
-        }
-      end
-    in
-    let retry =
-      {
-        Strategy.default_retry with
-        Strategy.adaptive =
-          (if adaptive then Some Strategy.default_adaptive else None);
-      }
-    in
-    let cfg =
-      {
-        Serve.default_config with
-        Serve.cache_bytes = int_of_float (cache_mb *. 1024.0 *. 1024.0);
-        window = Msdq_simkit.Time.us window_us;
-        options =
-          { Strategy.default_options with Strategy.telemetry; fault; retry };
-        deadline = Option.map (fun d -> Msdq_simkit.Time.ms d) deadline_ms;
-        queue_limit;
-        shed_policy;
-      }
-    in
-    let out, auto_info =
-      try
-        match strategy with
-        | Strategy.Fixed strategy ->
-          let jobs_list =
-            List.init queries (fun i ->
-                { Serve.strategy; analysis; arrival = arrival_of i; deadline = None })
-          in
-          (Serve.run ~trace:(trace_out <> None) cfg fed jobs_list, None)
-        | Strategy.Auto ->
-          (* An existing --store file also feeds selection: observed
-             per-strategy latencies blend into the model's estimates. *)
-          let sel_store =
-            match store with
-            | Some path when Sys.file_exists path -> (
-              match Msdq_telemetry.Store.load path with
-              | Ok s -> Some s
-              | Error msg ->
-                Format.eprintf "cannot load %s: %s@." path msg;
-                exit 1)
-            | _ -> None
-          in
-          let a =
-            Serve.run_auto ?store:sel_store ~trace:(trace_out <> None) cfg fed
-              (List.init queries (fun i -> (analysis, arrival_of i)))
-          in
-          (a.Serve.auto, Some a)
-      with Invalid_argument msg ->
-        Format.eprintf "%s@." msg;
-        exit 1
-    in
-    if json then begin
-      let doc = serve_outcome_to_json ~query:src cfg out in
-      let doc =
-        match (auto_info, doc) with
-        | Some a, Msdq_obs.Json.Obj fields ->
-          Msdq_obs.Json.Obj
-            (fields
-            @ [
-                ( "auto",
-                  Msdq_obs.Json.Obj
-                    [
-                      ( "decisions",
-                        Msdq_obs.Json.Arr
-                          (List.map
-                             (fun (d : Serve.auto_decision) ->
-                               Msdq_obs.Json.Obj
-                                 [
-                                   ("index", Msdq_obs.Json.Int d.Serve.d_index);
-                                   ( "preferred",
-                                     Msdq_obs.Json.Str
-                                       (Strategy.to_string d.Serve.d_preferred)
-                                   );
-                                   ( "chosen",
-                                     Msdq_obs.Json.Str
-                                       (Strategy.to_string d.Serve.d_chosen) );
-                                   ( "switched",
-                                     Msdq_obs.Json.Bool d.Serve.d_switched );
-                                 ])
-                             a.Serve.decisions) );
-                      ("switches", Msdq_obs.Json.Int a.Serve.switches);
-                    ] );
-              ])
-        | _, doc -> doc
-      in
-      print_endline (Msdq_obs.Json.to_string ~indent:2 doc)
-    end
-    else begin
+    Format.printf
+      "workload: %d x %s under %s, arrival %.1f q/s, cache %.1f MiB, window \
+       %.0f us@.@."
+      queries src
+      (Strategy.selection_to_string strategy)
+      arrival cache_mb window_us;
+    Format.printf "%-3s %12s %12s %12s %7s %7s %7s %9s@." "#" "arrival"
+      "completed" "latency" "xhits" "vhits" "cached" "degraded";
+    List.iter
+      (fun (r : Serve.query_report) ->
+        Format.printf "%-3d %12s %12s %12s %7d %7d %7d %9d@." r.Serve.index
+          (Format.asprintf "%a" Msdq_simkit.Time.pp r.Serve.arrival)
+          (Format.asprintf "%a" Msdq_simkit.Time.pp r.Serve.completed)
+          (Format.asprintf "%a" Msdq_simkit.Time.pp r.Serve.latency)
+          r.Serve.extent_hits r.Serve.verdict_hits
+          (Msdq_odb.Oid.Goid.Set.cardinal (Answer.cached r.Serve.answer))
+          (Msdq_odb.Oid.Goid.Set.cardinal (Answer.degraded r.Serve.answer)))
+      out.Serve.reports;
+    let pp_cache name (s : Lru.stats) =
       Format.printf
-        "workload: %d x %s under %s, arrival %.1f q/s, cache %.1f MiB, window \
-         %.0f us@.@."
-        queries src
-        (Strategy.selection_to_string strategy)
-        arrival cache_mb window_us;
-      Format.printf "%-3s %12s %12s %12s %7s %7s %7s %9s@." "#" "arrival"
-        "completed" "latency" "xhits" "vhits" "cached" "degraded";
+        "%s cache: %d hits, %d misses, %d evictions, %d invalidations, %d \
+         entries (%d bytes)@."
+        name s.Lru.hits s.Lru.misses s.Lru.evictions s.Lru.invalidations
+        s.Lru.entries s.Lru.bytes
+    in
+    Format.printf "@.makespan %a, throughput %.2f queries/simulated-second@."
+      Msdq_simkit.Time.pp out.Serve.makespan out.Serve.throughput;
+    pp_cache "extent" out.Serve.extent_cache;
+    pp_cache "verdict" out.Serve.verdict_cache;
+    Format.printf "%d serve-path messages, %d coalesced check requests@."
+      out.Serve.messages out.Serve.coalesced_checks;
+    let demoted =
+      List.fold_left
+        (fun acc (r : Serve.query_report) -> acc + r.Serve.deadline_demoted)
+        0 out.Serve.reports
+    in
+    if out.Serve.shed <> [] || demoted > 0 || out.Serve.max_queue_depth > 0
+    then begin
+      Format.printf
+        "overload: %d shed, %d rows demoted at the deadline, peak queue \
+         depth %d@."
+        (List.length out.Serve.shed)
+        demoted out.Serve.max_queue_depth;
       List.iter
-        (fun (r : Serve.query_report) ->
-          Format.printf "%-3d %12s %12s %12s %7d %7d %7d %9d@." r.Serve.index
-            (Format.asprintf "%a" Msdq_simkit.Time.pp r.Serve.arrival)
-            (Format.asprintf "%a" Msdq_simkit.Time.pp r.Serve.completed)
-            (Format.asprintf "%a" Msdq_simkit.Time.pp r.Serve.latency)
-            r.Serve.extent_hits r.Serve.verdict_hits
-            (Msdq_odb.Oid.Goid.Set.cardinal (Answer.cached r.Serve.answer))
-            (Msdq_odb.Oid.Goid.Set.cardinal (Answer.degraded r.Serve.answer)))
-        out.Serve.reports;
-      let pp_cache name (s : Lru.stats) =
-        Format.printf
-          "%s cache: %d hits, %d misses, %d evictions, %d invalidations, %d \
-           entries (%d bytes)@."
-          name s.Lru.hits s.Lru.misses s.Lru.evictions s.Lru.invalidations
-          s.Lru.entries s.Lru.bytes
-      in
-      Format.printf "@.makespan %a, throughput %.2f queries/simulated-second@."
-        Msdq_simkit.Time.pp out.Serve.makespan out.Serve.throughput;
-      pp_cache "extent" out.Serve.extent_cache;
-      pp_cache "verdict" out.Serve.verdict_cache;
-      Format.printf "%d serve-path messages, %d coalesced check requests@."
-        out.Serve.messages out.Serve.coalesced_checks;
-      let demoted =
-        List.fold_left
-          (fun acc (r : Serve.query_report) -> acc + r.Serve.deadline_demoted)
-          0 out.Serve.reports
-      in
-      if out.Serve.shed <> [] || demoted > 0 || out.Serve.max_queue_depth > 0
-      then begin
-        Format.printf
-          "overload: %d shed, %d rows demoted at the deadline, peak queue \
-           depth %d@."
-          (List.length out.Serve.shed)
-          demoted out.Serve.max_queue_depth;
-        List.iter
-          (fun (sr : Serve.shed_report) ->
-            Format.printf "  shed #%d (%s arrival %a, policy %s)@."
-              sr.Serve.s_index
-              (Strategy.to_string sr.Serve.s_strategy)
-              Msdq_simkit.Time.pp sr.Serve.s_arrival
-              (Serve.shed_policy_to_string sr.Serve.s_policy))
-          out.Serve.shed
-      end;
-      match auto_info with
-      | None -> ()
-      | Some a ->
-        let count s =
-          List.length
-            (List.filter
-               (fun (d : Serve.auto_decision) -> d.Serve.d_chosen = s)
-               a.Serve.decisions)
-        in
-        Format.printf "AUTO decisions:";
-        List.iter
-          (fun s -> Format.printf " %s=%d" (Strategy.to_string s) (count s))
-          [ Strategy.Ca; Strategy.Bl; Strategy.Pl ];
-        Format.printf ", strategy switches: %d@." a.Serve.switches
+        (fun (sr : Serve.shed_report) ->
+          Format.printf "  shed #%d (%s arrival %a, policy %s)@."
+            sr.Serve.s_index
+            (Strategy.to_string sr.Serve.s_strategy)
+            Msdq_simkit.Time.pp sr.Serve.s_arrival
+            (Serve.shed_policy_to_string sr.Serve.s_policy))
+        out.Serve.shed
     end;
-    if dashboard && not json then begin
-      let frames = dashboard_frames out in
-      let live = Unix.isatty Unix.stdout in
-      let replay f =
-        print_string Msdq_telemetry.Dashboard.clear;
-        print_string (Msdq_telemetry.Dashboard.render f);
-        flush stdout;
-        Unix.sleepf 0.08
-      in
-      match frames with
-      | [] -> ()
-      | frames when live -> List.iter replay frames
-      | frames ->
-        (* not a terminal: print the final (exact) frame once *)
-        print_string
-          (Msdq_telemetry.Dashboard.render
-             (List.nth frames (List.length frames - 1)))
-    end;
-    (match store with
+    match auto_info with
     | None -> ()
-    | Some path ->
-      let fresh = Msdq_telemetry.Store.create () in
-      Run_report.record_serve_stats ~store:fresh out;
-      let merged =
-        if Sys.file_exists path then
-          match Msdq_telemetry.Store.load path with
-          | Ok old -> Msdq_telemetry.Store.merge old fresh
-          | Error msg ->
-            Format.eprintf "cannot load %s: %s@." path msg;
-            exit 1
-        else fresh
+    | Some a ->
+      let count s =
+        List.length
+          (List.filter
+             (fun (d : Serve.auto_decision) -> d.Serve.d_chosen = s)
+             a.Serve.decisions)
       in
-      (try Msdq_telemetry.Store.save merged path
-       with Sys_error msg ->
-         Format.eprintf "cannot write %s: %s@." path msg;
-         exit 1);
-      if not json then
-        Format.printf "@.telemetry store %s (%d runs):@.%a@." path
-          (Msdq_telemetry.Store.runs merged)
-          Msdq_telemetry.Store.pp merged);
-    (match trace_out with
-    | None -> ()
-    | Some path ->
-      write_json path (Run_report.chrome_trace_of_entries out.Serve.trace);
-      if not json then Format.printf "wrote %s@." path);
-    `Ok ()
-  end
+      Format.printf "AUTO decisions:";
+      List.iter
+        (fun s -> Format.printf " %s=%d" (Strategy.to_string s) (count s))
+        [ Strategy.Ca; Strategy.Bl; Strategy.Pl ];
+      Format.printf ", strategy switches: %d@." a.Serve.switches
+  end;
+  if dashboard && not json then begin
+    let frames = dashboard_frames out in
+    let live = Unix.isatty Unix.stdout in
+    let replay f =
+      print_string Msdq_telemetry.Dashboard.clear;
+      print_string (Msdq_telemetry.Dashboard.render f);
+      flush stdout;
+      Unix.sleepf 0.08
+    in
+    match frames with
+    | [] -> ()
+    | frames when live -> List.iter replay frames
+    | frames ->
+      (* not a terminal: print the final (exact) frame once *)
+      print_string
+        (Msdq_telemetry.Dashboard.render
+           (List.nth frames (List.length frames - 1)))
+  end;
+  (match store with
+  | None -> ()
+  | Some path ->
+    let fresh = Msdq_telemetry.Store.create () in
+    Run_report.record_serve_stats ~store:fresh out;
+    let merged =
+      if Sys.file_exists path then
+        match Msdq_telemetry.Store.load path with
+        | Ok old -> Msdq_telemetry.Store.merge old fresh
+        | Error msg ->
+          Format.eprintf "cannot load %s: %s@." path msg;
+          exit 1
+      else fresh
+    in
+    (try Msdq_telemetry.Store.save merged path
+     with Sys_error msg ->
+       Format.eprintf "cannot write %s: %s@." path msg;
+       exit 1);
+    if not json then
+      Format.printf "@.telemetry store %s (%d runs):@.%a@." path
+        (Msdq_telemetry.Store.runs merged)
+        Msdq_telemetry.Store.pp merged);
+  (match trace_out with
+  | None -> ()
+  | Some path ->
+    write_json path (Run_report.chrome_trace_of_entries out.Serve.trace);
+    if not json then Format.printf "wrote %s@." path);
+  `Ok ()
 
 let serve_cmd =
   let queries =
@@ -1366,31 +1017,6 @@ let serve_cmd =
              $(b,reject-oldest) evicts the oldest still-queued query in its \
              favor, $(b,degrade) admits it but forces the cheapest \
              predicted strategy. Default: reject-newest.")
-  in
-  let sweep_flag =
-    Arg.(
-      value & flag
-      & info [ "sweep" ]
-          ~doc:
-            "Run the throughput sweep instead of one workload: synthetic \
-             repeated-query streams over cache capacities 0..4MiB and \
-             admission windows 0/500us for CA, BL and PL, reporting \
-             queries per simulated second and warm-over-cold makespan \
-             speedup. $(b,--samples) workloads per cell (default 4).")
-  in
-  let samples =
-    Arg.(
-      value & opt int 4
-      & info [ "samples" ] ~docv:"N"
-          ~doc:"Workload draws per sweep cell (with $(b,--sweep)).")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Domain-pool size for $(b,--sweep): 0 = all cores (the default), \
-             1 = sequential. Results are identical for every setting.")
   in
   let synthetic =
     Arg.(
@@ -1472,7 +1098,7 @@ let serve_cmd =
         ret
           (const serve $ queries $ arrival $ cache_mb $ window $ deadline
          $ queue_limit $ shed_policy $ strategy $ data_arg $ synthetic
-         $ seed_arg $ sweep_flag $ samples $ jobs $ serve_drop
+         $ seed_arg $ serve_drop
          $ serve_inflate $ serve_flap $ serve_adaptive $ json_arg $ dashboard
          $ store_arg $ serve_trace_out $ sql))
   in

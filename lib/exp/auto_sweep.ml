@@ -5,6 +5,7 @@ open Msdq_exec
 open Msdq_workload
 open Msdq_serve
 module Optimizer = Msdq_opt.Optimizer
+module Json = Msdq_obs.Json
 module Metrics = Msdq_obs.Metrics
 
 let log_src = Logs.Src.create "msdq.exp.auto" ~doc:"AUTO strategy sweep"
@@ -247,3 +248,107 @@ let min_fixed_makespan outcome =
   List.fold_left
     (fun acc f -> Float.min acc f.f_makespan_s)
     Float.infinity outcome.fixed
+
+let to_json a =
+  Json.Obj
+    [
+      ("id", Json.Str a.id);
+      ("title", Json.Str a.title);
+      ("queries", Json.Int a.queries);
+      ("distinct", Json.Int a.distinct);
+      ("seed", Json.Int a.seed);
+      ("spacing_us", Json.Float a.spacing_us);
+      ( "fixed",
+        Json.Arr
+          (List.map
+             (fun f ->
+               Json.Obj
+                 [
+                   ("strategy", Json.Str (Strategy.to_string f.f_strategy));
+                   ("makespan_s", Json.Float f.f_makespan_s);
+                 ])
+             a.fixed) );
+      ("auto_makespan_s", Json.Float a.auto_makespan_s);
+      ( "decisions",
+        Json.Arr
+          (List.map
+             (fun (strategy, count) ->
+               Json.Obj
+                 [ ("strategy", Json.Str strategy); ("count", Json.Int count) ])
+             a.decisions) );
+      ("switches", Json.Int a.switches);
+      ("rank_matches", Json.Int a.rank_matches);
+      ("rank_match_rate", Json.Float a.rank_match_rate);
+    ]
+
+let pp ppf a =
+  Format.fprintf ppf "%s — %s@.@." a.id a.title;
+  Format.fprintf ppf "%d queries (%d distinct), seed %d, %.0fms arrival spacing@.@."
+    a.queries a.distinct a.seed (a.spacing_us /. 1e3);
+  Format.fprintf ppf "%-8s %12s@." "strategy" "makespan";
+  List.iter
+    (fun f ->
+      Format.fprintf ppf "%-8s %10.2fms@." (Strategy.to_string f.f_strategy)
+        (f.f_makespan_s *. 1e3))
+    a.fixed;
+  Format.fprintf ppf "%-8s %10.2fms@." "AUTO" (a.auto_makespan_s *. 1e3);
+  Format.fprintf ppf "@.decisions:";
+  List.iter (fun (s, n) -> Format.fprintf ppf " %s=%d" s n) a.decisions;
+  Format.fprintf ppf "  switches=%d@." a.switches;
+  Format.fprintf ppf "estimator rank matches: %d/%d (%.0f%%)@." a.rank_matches
+    a.distinct (a.rank_match_rate *. 100.0)
+
+let what = "auto_sweep"
+
+let check j =
+  let open Bench_doc in
+  let* queries = int ~what "queries" j in
+  let* distinct = int ~what "distinct" j in
+  let* () =
+    check (queries > 0 && distinct > 0)
+      "auto_sweep queries and distinct must be positive"
+  in
+  let* fixed = nonempty ~what "fixed" j in
+  let* () =
+    each fixed (fun f ->
+        let* name = str ~what:"auto_sweep fixed" "strategy" f in
+        let* m = float ~what:("auto_sweep " ^ name) "makespan_s" f in
+        nonneg ~what:(Printf.sprintf "auto_sweep %s makespan_s" name) m)
+  in
+  let* auto = float ~what "auto_makespan_s" j in
+  let* () = nonneg ~what:"auto_sweep auto_makespan_s" auto in
+  let* decisions = list ~what "decisions" j in
+  let* () =
+    each decisions (fun d ->
+        let* name = str ~what:"auto_sweep decision" "strategy" d in
+        let* count = int ~what:("auto_sweep decision " ^ name) "count" d in
+        check (count >= 0) "auto_sweep decision %s count must be >= 0" name)
+  in
+  let* switches = int ~what "switches" j in
+  let* () = check (switches >= 0) "auto_sweep switches must be >= 0" in
+  let* rate = float ~what "rank_match_rate" j in
+  fraction ~what:"auto_sweep rank_match_rate" rate
+
+let win j =
+  let open Bench_doc in
+  let* fixed = list ~what "fixed" j in
+  let* makespans = map fixed (float ~what:"auto_sweep fixed" "makespan_s") in
+  let best = List.fold_left Float.min Float.infinity makespans in
+  let* auto = float ~what "auto_makespan_s" j in
+  if auto <= best *. (1.0 +. 1e-9) then
+    Ok (Printf.sprintf "AUTO makespan %g s <= best fixed %g s" auto best)
+  else
+    error
+      "auto_sweep regression — AUTO makespan %g s exceeds the best fixed \
+       strategy's %g s"
+      auto best
+
+let measures j =
+  let open Bench_doc in
+  match (float ~what "auto_makespan_s" j, float ~what "rank_match_rate" j) with
+  | Ok makespan, Ok rate ->
+    [
+      { name = "AUTO makespan"; value = makespan; better = Lower };
+      { name = "rank-match rate"; value = rate; better = Rate };
+    ]
+  | _ -> []

@@ -51,3 +51,27 @@ val run :
 
 val min_fixed_makespan : outcome -> float
 (** The best fixed strategy's makespan — what AUTO has to beat. *)
+
+(** {2 Reporting and checking} — what {!Sweep.registry} wires together. *)
+
+val to_json : outcome -> Msdq_obs.Json.t
+(** The bench document's [auto_sweep] section: fixed-strategy makespans,
+    AUTO's makespan, per-strategy decision counts, breaker switches and
+    the estimator's rank-match rate. *)
+
+val pp : Format.formatter -> outcome -> unit
+(** The makespan table, decision counts and rank-match rate. *)
+
+val check : Msdq_obs.Json.t -> (unit, string) result
+(** Shape of an [auto_sweep] section: positive query counts, a non-empty
+    fixed list with non-negative makespans, non-negative decision counts
+    and switches, a rank-match rate inside [[0, 1]]. *)
+
+val win : Msdq_obs.Json.t -> (string, string) result
+(** The win condition: AUTO's makespan is no worse than the best fixed
+    strategy's (a 1e-9 relative slack absorbs float formatting round
+    trips, so a tie passes). *)
+
+val measures : Msdq_obs.Json.t -> Bench_doc.measure list
+(** AUTO's makespan (lower is better) and the rank-match rate (may drop
+    by at most the tolerance, absolutely). *)

@@ -4,6 +4,7 @@ open Msdq_fed
 open Msdq_query
 open Msdq_exec
 open Msdq_workload
+module Json = Msdq_obs.Json
 module Metrics = Msdq_obs.Metrics
 module Fault = Msdq_fault.Fault
 
@@ -80,8 +81,39 @@ type point_result = {
   p_hard_recall : float;
 }
 
-let point ~seed ~cost ~idx ~si ~availability ~drop ~inflate =
-  match make_case (Rng.int (Rng.split_ix (Rng.create ~seed) ~i:si) ~bound:100_000) 0 with
+(* Sample [si]'s case: its own rng stream, so samples are
+   order-independent. *)
+let case_of ~seed ~si =
+  make_case (Rng.int (Rng.split_ix (Rng.create ~seed) ~i:si) ~bound:100_000) 0
+
+(* The fault-free reference run of every strategy, the fault horizon
+   (twice the slowest reference response) and the component sites. *)
+let references ~cost fed analysis =
+  let fault_free =
+    List.map
+      (fun s ->
+        let answer, m =
+          Strategy.run
+            ~options:{ Strategy.default_options with Strategy.cost }
+            s fed analysis
+        in
+        (answer, m.Strategy.response))
+      strategies
+  in
+  let longest =
+    List.fold_left (fun acc (_, r) -> Time.max acc r) (Time.ms 1.0) fault_free
+  in
+  let n_db = List.length (Federation.databases fed) in
+  (fault_free, Time.us (2.0 *. Time.to_us longest), List.init n_db (fun i -> i + 1))
+
+(* The global site never crashes (it hosts the client), but its incoming
+   link is as lossy as the others — otherwise CA, whose transfers all
+   terminate there, would be trivially immune. *)
+let with_global_link ~drop ~inflate sched =
+  { sched with Fault.links = { Fault.dst = 0; drop; inflate; jitter = 0.0 } :: sched.Fault.links }
+
+let point ~seed ~cost ~drop ~inflate ~idx ~si ~availability =
+  match case_of ~seed ~si with
   | None ->
     (* no analyzable query for this stream: a vacuous, neutral sample *)
     {
@@ -91,21 +123,7 @@ let point ~seed ~cost ~idx ~si ~availability ~drop ~inflate =
       p_hard_recall = 1.0;
     }
   | Some (fed, analysis) ->
-    let fault_free =
-      List.map
-        (fun s ->
-          let answer, m = Strategy.run ~options:{ Strategy.default_options with Strategy.cost } s fed analysis in
-          (answer, m.Strategy.response))
-        strategies
-    in
-    let horizon =
-      let longest =
-        List.fold_left (fun acc (_, r) -> Time.max acc r) (Time.ms 1.0) fault_free
-      in
-      Time.us (2.0 *. Time.to_us longest)
-    in
-    let n_db = List.length (Federation.databases fed) in
-    let component_sites = List.init n_db (fun i -> i + 1) in
+    let fault_free, horizon, component_sites = references ~cost fed analysis in
     let fault_rng =
       (* keyed by the flat (level, sample) index so every grid point draws
          an independent schedule, order-independently *)
@@ -115,18 +133,9 @@ let point ~seed ~cost ~idx ~si ~availability ~drop ~inflate =
       (* the 1.0 column is the fault-free anchor, whatever the link knobs *)
       if availability >= 1.0 then Fault.none
       else
-        let sched =
-          Fault.random ~rng:fault_rng ~sites:component_sites ~availability
-            ~horizon ~drop ~inflate ()
-        in
-        (* The global site never crashes (it hosts the client), but its
-           incoming link is as lossy as the others — otherwise CA, whose
-           transfers all terminate there, would be trivially immune. *)
-        {
-          sched with
-          Fault.links =
-            { Fault.dst = 0; drop; inflate; jitter = 0.0 } :: sched.Fault.links;
-        }
+        with_global_link ~drop ~inflate
+          (Fault.random ~rng:fault_rng ~sites:component_sites ~availability
+             ~horizon ~drop ~inflate ())
     in
     let options = { Strategy.default_options with Strategy.cost; Strategy.fault } in
     let faulty =
@@ -154,63 +163,53 @@ let point ~seed ~cost ~idx ~si ~availability ~drop ~inflate =
     in
     { p_responses; p_recalls; p_hard_response = p_responses.(1); p_hard_recall }
 
-let run ?pool ?registry ?progress ?(samples = 12) ?(seed = 1996)
-    ?(cost = Cost.default) ?(drop = 0.05) ?(inflate = 1.0) () =
+(* Runs [point] over the (availability, sample) grid — on [pool] when it
+   has workers, merging in index order — reporting progress under [id]
+   and counting the points into [counter]. Returns [column f]: the
+   per-availability mean of [f] over the samples. *)
+let run_grid ?pool ?registry ?progress ~id ~counter ~samples point =
   let xs = availabilities in
   let nx = Array.length xs in
-  let n_points = nx * samples in
-  let completed = Atomic.make 0 in
-  let feedback_mutex = Mutex.create () in
-  let id = "fault-sweep" in
-  let point_at i =
-    let li = i / samples and si = i mod samples in
-    let r = point ~seed ~cost ~idx:i ~si ~availability:xs.(li) ~drop ~inflate in
-    let done_now = 1 + Atomic.fetch_and_add completed 1 in
-    Mutex.lock feedback_mutex;
-    Log.info (fun m ->
-        m "%s: availability=%g sample %d done (%d/%d points)" id xs.(li) si
-          done_now n_points);
-    (match progress with
-    | Some f -> f ~figure:id ~completed:done_now ~total:n_points
-    | None -> ());
-    Mutex.unlock feedback_mutex;
-    r
-  in
-  let grid = Array.init n_points (fun i -> i) in
   let results =
-    match pool with
-    | Some pool when Msdq_par.Pool.jobs pool > 1 ->
-      Msdq_par.Pool.map_array pool ~f:(fun i _ -> point_at i) grid
-    | Some _ | None -> Array.map point_at grid
+    Grid.run ?pool ?registry ?progress ~id ~counter
+      ~log:(fun i _ ~done_now ~total ->
+        Log.info (fun m ->
+            m "%s: availability=%g sample %d done (%d/%d points)" id
+              xs.(i / samples) (i mod samples) done_now total))
+      (fun i ->
+        point ~idx:i ~si:(i mod samples) ~availability:xs.(i / samples))
+      (Array.init (nx * samples) Fun.id)
   in
-  (match registry with
-  | Some reg ->
-    Metrics.inc
-      (Metrics.counter reg ~labels:[ ("figure", id) ] "msdq_fault_samples_total")
-      n_points
-  | None -> ());
-  let mean f li =
-    let acc = ref 0.0 in
-    for si = 0 to samples - 1 do
-      acc := !acc +. f results.((li * samples) + si)
-    done;
-    !acc /. float_of_int samples
+  fun f ->
+    Array.init nx (fun li ->
+        let acc = ref 0.0 in
+        for si = 0 to samples - 1 do
+          acc := !acc +. f results.((li * samples) + si)
+        done;
+        !acc /. float_of_int samples)
+
+let run ?pool ?registry ?progress ?(samples = 12) ?(seed = 1996)
+    ?(cost = Cost.default) ?(drop = 0.05) ?(inflate = 1.0) () =
+  let id = "fault-sweep" in
+  let column =
+    run_grid ?pool ?registry ?progress ~id ~counter:"msdq_fault_samples_total"
+      ~samples (point ~seed ~cost ~drop ~inflate)
   in
   let strategy_series =
     List.mapi
       (fun k s ->
         {
           label = Strategy.to_string s;
-          responses = Array.init nx (fun li -> mean (fun r -> r.p_responses.(k)) li);
-          recalls = Array.init nx (fun li -> mean (fun r -> r.p_recalls.(k)) li);
+          responses = column (fun r -> r.p_responses.(k));
+          recalls = column (fun r -> r.p_recalls.(k));
         })
       strategies
   in
   let hard =
     {
       label = "fail-stop";
-      responses = Array.init nx (fun li -> mean (fun r -> r.p_hard_response) li);
-      recalls = Array.init nx (fun li -> mean (fun r -> r.p_hard_recall) li);
+      responses = column (fun r -> r.p_hard_response);
+      recalls = column (fun r -> r.p_hard_recall);
     }
   in
   {
@@ -218,7 +217,7 @@ let run ?pool ?registry ?progress ?(samples = 12) ?(seed = 1996)
     title =
       "Response time and certain-set recall under site crashes and lossy links";
     xlabel = "site availability";
-    xs;
+    xs = availabilities;
     samples;
     seed;
     series = strategy_series @ [ hard ];
@@ -228,6 +227,115 @@ let series_of sweep label =
   match List.find_opt (fun s -> String.equal s.label label) sweep.series with
   | Some s -> s
   | None -> raise Not_found
+
+let floats_json a = Json.Arr (Array.to_list (Array.map (fun x -> Json.Float x) a))
+
+let to_json s =
+  Json.Obj
+    [
+      ("id", Json.Str s.id);
+      ("title", Json.Str s.title);
+      ("xlabel", Json.Str s.xlabel);
+      ("availabilities", floats_json s.xs);
+      ("samples", Json.Int s.samples);
+      ("seed", Json.Int s.seed);
+      ( "series",
+        Json.Arr
+          (List.map
+             (fun ser ->
+               Json.Obj
+                 [
+                   ("label", Json.Str ser.label);
+                   ("responses_s", floats_json ser.responses);
+                   ("recalls", floats_json ser.recalls);
+                 ])
+             s.series) );
+    ]
+
+(* The availability header row shared by both sweeps' tables. *)
+let pp_axis ppf ~width ~xlabel xs =
+  Format.fprintf ppf "%-*s" width xlabel;
+  Array.iter (fun a -> Format.fprintf ppf " %9s" (Printf.sprintf "%.2f" a)) xs;
+  Format.fprintf ppf "@,"
+
+let pp_row ppf ~width ~fmt name values =
+  Format.fprintf ppf "%-*s" width name;
+  Array.iter (fun v -> Format.fprintf ppf fmt v) values;
+  Format.fprintf ppf "@,"
+
+let pp ppf s =
+  Format.fprintf ppf "@[<v>%s — %s@,(%d samples per level, seed %d)@,@," s.id
+    s.title s.samples s.seed;
+  pp_axis ppf ~width:16 ~xlabel:s.xlabel s.xs;
+  List.iter
+    (fun ser ->
+      pp_row ppf ~width:16 ~fmt:" %9.3f" (ser.label ^ " recall") ser.recalls;
+      pp_row ppf ~width:16 ~fmt:" %8.4fs" (ser.label ^ " response")
+        ser.responses)
+    s.series;
+  Format.fprintf ppf "@]"
+
+(* One CSV row per availability: the axis value, then [columns] of every
+   series in order. *)
+let csv ~xs ~headers ~columns series =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "availability";
+  List.iter (fun ser -> Buffer.add_string b (headers ser)) series;
+  Buffer.add_char b '\n';
+  Array.iteri
+    (fun i a ->
+      Buffer.add_string b (Printf.sprintf "%g" a);
+      List.iter
+        (fun ser ->
+          List.iter
+            (fun col -> Buffer.add_string b (Printf.sprintf ",%g" col.(i)))
+            (columns ser))
+        series;
+      Buffer.add_char b '\n')
+    xs;
+  Buffer.contents b
+
+let to_csv s =
+  csv ~xs:s.xs
+    ~headers:(fun ser ->
+      Printf.sprintf ",%s_recall,%s_response_s" ser.label ser.label)
+    ~columns:(fun ser -> [ ser.recalls; ser.responses ])
+    s.series
+
+let grid_of j =
+  Bench_doc.(
+    grid ~section:"fault_sweep" ~axis:"availabilities"
+      ~arrays:[ ("responses_s", nonneg); ("recalls", fraction) ]
+      j)
+
+let check j = Result.map ignore (grid_of j)
+
+let win j =
+  let open Bench_doc in
+  let* series = grid_of j in
+  let recalls label = List.assoc "recalls" (List.assoc label series) in
+  let* base =
+    match List.assoc_opt "fail-stop" series with
+    | Some _ -> Ok (recalls "fail-stop")
+    | None -> error "fault_sweep has no \"fail-stop\" series to rank against"
+  in
+  let* () =
+    each series (fun (label, _) ->
+        each
+          (List.mapi (fun i p -> (i, p)) (List.combine (recalls label) base))
+          (fun (i, (r, b)) ->
+            check (r >= b -. 1e-9)
+              "fault_sweep %s recall %.3f below fail-stop %.3f at point %d"
+              label r b i))
+  in
+  Ok "every strategy dominates fail-stop recall"
+
+let measures j =
+  match grid_of j with
+  | Ok series ->
+    Bench_doc.series_means ~field:"responses_s" ~noun:"response"
+      ~better:Bench_doc.Lower series
+  | Error _ -> []
 
 (* ---- the recovery sweep: retry-only vs failover vs failover+hedging ---- *)
 
@@ -269,13 +377,9 @@ type rpoint_result = {
   rp_demoted : float array;
 }
 
-let rpoint ~seed ~cost ~idx ~si ~availability ~drop ~inflate =
+let rpoint ~seed ~cost ~drop ~inflate ~idx ~si ~availability =
   let n_cells = List.length strategies * List.length rmodes in
-  match
-    make_case
-      (Rng.int (Rng.split_ix (Rng.create ~seed) ~i:si) ~bound:100_000)
-      0
-  with
+  match case_of ~seed ~si with
   | None ->
     {
       rp_responses = Array.make n_cells 0.0;
@@ -283,38 +387,15 @@ let rpoint ~seed ~cost ~idx ~si ~availability ~drop ~inflate =
       rp_demoted = Array.make n_cells 0.0;
     }
   | Some (fed, analysis) ->
-    let fault_free =
-      List.map
-        (fun s ->
-          let answer, m =
-            Strategy.run
-              ~options:{ Strategy.default_options with Strategy.cost }
-              s fed analysis
-          in
-          (answer, m.Strategy.response))
-        strategies
-    in
-    let horizon =
-      let longest =
-        List.fold_left (fun acc (_, r) -> Time.max acc r) (Time.ms 1.0) fault_free
-      in
-      Time.us (2.0 *. Time.to_us longest)
-    in
-    let n_db = List.length (Federation.databases fed) in
-    let component_sites = List.init n_db (fun i -> i + 1) in
+    let fault_free, horizon, component_sites = references ~cost fed analysis in
     let fault_rng = Rng.split_ix (Rng.create ~seed:(seed + 6271)) ~i:idx in
     (* unlike the fault sweep, the 1.0 column is NOT fault-free: sites never
        crash but links stay lossy (Fault.random at availability 1.0), so the
        column isolates what failover buys against pure message loss *)
     let fault =
-      let sched =
-        Fault.random ~rng:fault_rng ~sites:component_sites ~availability
-          ~horizon ~drop ~inflate ()
-      in
-      {
-        sched with
-        Fault.links = { Fault.dst = 0; drop; inflate; jitter = 0.0 } :: sched.Fault.links;
-      }
+      with_global_link ~drop ~inflate
+        (Fault.random ~rng:fault_rng ~sites:component_sites ~availability
+           ~horizon ~drop ~inflate ())
     in
     let cells =
       List.concat_map
@@ -344,47 +425,10 @@ let rpoint ~seed ~cost ~idx ~si ~availability ~drop ~inflate =
 
 let run_recovery ?pool ?registry ?progress ?(samples = 12) ?(seed = 2024)
     ?(cost = Cost.default) ?(drop = 0.2) ?(inflate = 1.0) () =
-  let xs = availabilities in
-  let nx = Array.length xs in
-  let n_points = nx * samples in
-  let completed = Atomic.make 0 in
-  let feedback_mutex = Mutex.create () in
   let id = "recovery-sweep" in
-  let point_at i =
-    let li = i / samples and si = i mod samples in
-    let r = rpoint ~seed ~cost ~idx:i ~si ~availability:xs.(li) ~drop ~inflate in
-    let done_now = 1 + Atomic.fetch_and_add completed 1 in
-    Mutex.lock feedback_mutex;
-    Log.info (fun m ->
-        m "%s: availability=%g sample %d done (%d/%d points)" id xs.(li) si
-          done_now n_points);
-    (match progress with
-    | Some f -> f ~figure:id ~completed:done_now ~total:n_points
-    | None -> ());
-    Mutex.unlock feedback_mutex;
-    r
-  in
-  let grid = Array.init n_points (fun i -> i) in
-  let results =
-    match pool with
-    | Some pool when Msdq_par.Pool.jobs pool > 1 ->
-      Msdq_par.Pool.map_array pool ~f:(fun i _ -> point_at i) grid
-    | Some _ | None -> Array.map point_at grid
-  in
-  (match registry with
-  | Some reg ->
-    Metrics.inc
-      (Metrics.counter reg
-         ~labels:[ ("figure", id) ]
-         "msdq_recovery_samples_total")
-      n_points
-  | None -> ());
-  let mean f li =
-    let acc = ref 0.0 in
-    for si = 0 to samples - 1 do
-      acc := !acc +. f results.((li * samples) + si)
-    done;
-    !acc /. float_of_int samples
+  let column =
+    run_grid ?pool ?registry ?progress ~id ~counter:"msdq_recovery_samples_total"
+      ~samples (rpoint ~seed ~cost ~drop ~inflate)
   in
   let rseries =
     List.concat
@@ -394,14 +438,10 @@ let run_recovery ?pool ?registry ?progress ?(samples = 12) ?(seed = 2024)
              (fun j mode ->
                let cell = (k * List.length rmodes) + j in
                {
-                 r_label =
-                   Strategy.to_string s ^ "+" ^ rmode_label mode;
-                 r_responses =
-                   Array.init nx (fun li -> mean (fun r -> r.rp_responses.(cell)) li);
-                 r_recalls =
-                   Array.init nx (fun li -> mean (fun r -> r.rp_recalls.(cell)) li);
-                 r_demoted =
-                   Array.init nx (fun li -> mean (fun r -> r.rp_demoted.(cell)) li);
+                 r_label = Strategy.to_string s ^ "+" ^ rmode_label mode;
+                 r_responses = column (fun r -> r.rp_responses.(cell));
+                 r_recalls = column (fun r -> r.rp_recalls.(cell));
+                 r_demoted = column (fun r -> r.rp_demoted.(cell));
                })
              rmodes)
          strategies)
@@ -412,7 +452,7 @@ let run_recovery ?pool ?registry ?progress ?(samples = 12) ?(seed = 2024)
       "Certain-set recall vs availability: retry-only vs failover vs \
        failover+hedging";
     rxlabel = "site availability";
-    rxs = xs;
+    rxs = availabilities;
     rsamples = samples;
     rseed = seed;
     rseries;
@@ -424,3 +464,62 @@ let rseries_of sweep label =
   with
   | Some s -> s
   | None -> raise Not_found
+
+let recovery_to_json s =
+  Json.Obj
+    [
+      ("id", Json.Str s.rid);
+      ("title", Json.Str s.rtitle);
+      ("xlabel", Json.Str s.rxlabel);
+      ("availabilities", floats_json s.rxs);
+      ("samples", Json.Int s.rsamples);
+      ("seed", Json.Int s.rseed);
+      ( "series",
+        Json.Arr
+          (List.map
+             (fun ser ->
+               Json.Obj
+                 [
+                   ("label", Json.Str ser.r_label);
+                   ("responses_s", floats_json ser.r_responses);
+                   ("recalls", floats_json ser.r_recalls);
+                   ("demoted", floats_json ser.r_demoted);
+                 ])
+             s.rseries) );
+    ]
+
+let pp_recovery ppf s =
+  Format.fprintf ppf "@[<v>%s — %s@,(%d samples per level, seed %d)@,@," s.rid
+    s.rtitle s.rsamples s.rseed;
+  pp_axis ppf ~width:20 ~xlabel:s.rxlabel s.rxs;
+  List.iter
+    (fun ser ->
+      pp_row ppf ~width:20 ~fmt:" %9.3f" (ser.r_label ^ " recall") ser.r_recalls;
+      pp_row ppf ~width:20 ~fmt:" %9.2f" (ser.r_label ^ " demoted")
+        ser.r_demoted)
+    s.rseries;
+  Format.fprintf ppf "@]"
+
+let recovery_to_csv s =
+  csv ~xs:s.rxs
+    ~headers:(fun ser ->
+      Printf.sprintf ",%s_recall,%s_demoted,%s_response_s" ser.r_label
+        ser.r_label ser.r_label)
+    ~columns:(fun ser -> [ ser.r_recalls; ser.r_demoted; ser.r_responses ])
+    s.rseries
+
+let recovery_grid_of j =
+  Bench_doc.(
+    grid ~section:"recovery_sweep" ~axis:"availabilities"
+      ~arrays:
+        [ ("responses_s", nonneg); ("recalls", fraction); ("demoted", nonneg) ]
+      j)
+
+let recovery_check j = Result.map ignore (recovery_grid_of j)
+
+let recovery_measures j =
+  match recovery_grid_of j with
+  | Ok series ->
+    Bench_doc.series_means ~field:"responses_s" ~noun:"response"
+      ~better:Bench_doc.Lower series
+  | Error _ -> []

@@ -66,6 +66,32 @@ val run :
 val series_of : sweep -> string -> series
 (** Raises [Not_found] when the sweep has no series with that label. *)
 
+(** {2 Reporting and checking} — what {!Sweep.registry} wires together. *)
+
+val to_json : sweep -> Msdq_obs.Json.t
+(** The bench document's [fault_sweep] section: availability levels plus
+    one (responses, recalls) series per strategy and the fail-stop
+    baseline. *)
+
+val pp : Format.formatter -> sweep -> unit
+(** The recall/response table per availability level. *)
+
+val to_csv : sweep -> string
+(** One row per availability level, recall and response per series. *)
+
+val check : Msdq_obs.Json.t -> (unit, string) result
+(** Shape of a [fault_sweep] section: a non-empty availability grid and
+    non-empty series list, every series as long as the grid, responses
+    non-negative, recalls inside [[0, 1]]. *)
+
+val win : Msdq_obs.Json.t -> (string, string) result
+(** The win condition: a ["fail-stop"] series exists and every series'
+    recall is at least fail-stop's at every availability level — what
+    sound degraded answers buy. *)
+
+val measures : Msdq_obs.Json.t -> Bench_doc.measure list
+(** Mean response per series (lower is better). *)
+
 (** {1 The recovery sweep}
 
     Same grid and case generation as {!run}, but comparing the recovery
@@ -122,3 +148,20 @@ val run_recovery :
 
 val rseries_of : recovery_sweep -> string -> rseries
 (** Raises [Not_found] when the sweep has no series with that label. *)
+
+val recovery_to_json : recovery_sweep -> Msdq_obs.Json.t
+(** The [recovery_sweep] section: availability levels plus one
+    (responses, recalls, demoted) series per (strategy, recovery-mode)
+    cell. *)
+
+val pp_recovery : Format.formatter -> recovery_sweep -> unit
+(** The recall/demoted table per availability level. *)
+
+val recovery_to_csv : recovery_sweep -> string
+
+val recovery_check : Msdq_obs.Json.t -> (unit, string) result
+(** Shape of a [recovery_sweep] section: as {!check}, plus a non-negative
+    mean-demoted array per series. *)
+
+val recovery_measures : Msdq_obs.Json.t -> Bench_doc.measure list
+(** Mean response per series (lower is better). *)

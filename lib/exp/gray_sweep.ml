@@ -4,6 +4,7 @@ open Msdq_query
 open Msdq_exec
 open Msdq_workload
 open Msdq_serve
+module Json = Msdq_obs.Json
 module Metrics = Msdq_obs.Metrics
 module Store = Msdq_telemetry.Store
 module Fault = Msdq_fault.Fault
@@ -314,41 +315,22 @@ let run ?pool ?registry ?progress ?(queries = 12) ?(seed = 1996)
                  kinds)
              policies)
       in
-      let total = Array.length grid in
-      let completed = Atomic.make 0 in
-      let feedback_mutex = Mutex.create () in
-      let cell (policy, kind, severity) =
-        let r, retries =
-          point ~cost ~fed ~analysis ~queries ~seed ~policy ~kind ~severity
-        in
-        let done_now = 1 + Atomic.fetch_and_add completed 1 in
-        Mutex.lock feedback_mutex;
-        Log.info (fun m ->
-            m "%s: %s/%s/%s done (%d/%d): mean %.2f ms, %d demoted, %d \
-               retries"
-              id policy kind severity done_now total r.pt_mean_ms
-              r.pt_demoted_rows retries);
-        (match progress with
-        | Some f -> f ~figure:id ~completed:done_now ~total
-        | None -> ());
-        Mutex.unlock feedback_mutex;
-        r
-      in
       let points =
-        match pool with
-        | Some pool when Msdq_par.Pool.jobs pool > 1 ->
-            Array.to_list
-              (Msdq_par.Pool.map_array pool ~f:(fun _ g -> cell g) grid)
-        | Some _ | None -> Array.to_list (Array.map cell grid)
+        Array.to_list
+          (Array.map fst
+             (Grid.run ?pool ?registry ?progress ~id
+                ~counter:"msdq_gray_points_total"
+                ~log:(fun (policy, kind, severity) (r, retries) ~done_now ~total ->
+                  Log.info (fun m ->
+                      m "%s: %s/%s/%s done (%d/%d): mean %.2f ms, %d demoted, \
+                         %d retries"
+                        id policy kind severity done_now total r.pt_mean_ms
+                        r.pt_demoted_rows retries))
+                (fun (policy, kind, severity) ->
+                  point ~cost ~fed ~analysis ~queries ~seed ~policy ~kind
+                    ~severity)
+                grid))
       in
-      (match registry with
-      | Some reg ->
-          Metrics.inc
-            (Metrics.counter reg
-               ~labels:[ ("figure", id) ]
-               "msdq_gray_points_total")
-            total
-      | None -> ());
       {
         id;
         title = "Static vs adaptive retry timeouts across gray-failure kinds";
@@ -369,3 +351,127 @@ let point_of outcome ~policy ~kind ~severity =
       && String.equal p.pt_kind kind
       && String.equal p.pt_severity severity)
     outcome.points
+
+let to_json g =
+  let strs l = Json.Arr (List.map (fun x -> Json.Str x) l) in
+  Json.Obj
+    [
+      ("id", Json.Str g.id);
+      ("title", Json.Str g.title);
+      ("seed", Json.Int g.seed);
+      ("queries", Json.Int g.queries);
+      ("drop", Json.Float g.drop);
+      ("static_timeout_ms", Json.Float g.static_timeout_ms);
+      ("kinds", strs g.kinds);
+      ("severities", strs g.severities);
+      ("policies", strs g.policies);
+      ( "points",
+        Json.Arr
+          (List.map
+             (fun p ->
+               Json.Obj
+                 [
+                   ("policy", Json.Str p.pt_policy);
+                   ("kind", Json.Str p.pt_kind);
+                   ("severity", Json.Str p.pt_severity);
+                   ("queries", Json.Int p.pt_queries);
+                   ("demoted_rows", Json.Int p.pt_demoted_rows);
+                   ("abandoned_checks", Json.Int p.pt_abandoned_checks);
+                   ("mean_ms", Json.Float p.pt_mean_ms);
+                   ("p99_ms", Json.Float p.pt_p99_ms);
+                   ("gray_sites", Json.Int p.pt_gray_sites);
+                 ])
+             g.points) );
+    ]
+
+let pp ppf o =
+  Format.fprintf ppf "%s — %s@.@." o.id o.title;
+  Format.fprintf ppf
+    "%d queries per cell, seed %d; static timeout %.2fms, baseline drop \
+     %.2f@.@."
+    o.queries o.seed o.static_timeout_ms o.drop;
+  Format.fprintf ppf "%-9s %-9s %-7s %8s %6s %9s %9s %5s@." "policy" "kind"
+    "sev" "demoted" "aband" "mean" "p99" "gray";
+  List.iter
+    (fun pt ->
+      Format.fprintf ppf "%-9s %-9s %-7s %8d %6d %7.2fms %7.2fms %5d@."
+        pt.pt_policy pt.pt_kind pt.pt_severity pt.pt_demoted_rows
+        pt.pt_abandoned_checks pt.pt_mean_ms pt.pt_p99_ms pt.pt_gray_sites)
+    o.points;
+  Format.fprintf ppf
+    "@.win condition: adaptive demotes no more rows than static on every \
+     cell and cuts mean response on the slowdown cells by at least %.0f%%@."
+    (100.0 *. response_margin)
+
+(* (policy, kind, severity, demoted_rows, mean_ms) of every point. *)
+let parse_points j =
+  let open Bench_doc in
+  let* points = nonempty ~what:"gray_sweep" "points" j in
+  map points (fun entry ->
+      let what = "gray_sweep point" in
+      let* policy = str ~what "policy" entry in
+      let* kind = str ~what "kind" entry in
+      let* severity = str ~what "severity" entry in
+      let what = Printf.sprintf "gray_sweep %s/%s/%s" policy kind severity in
+      let* demoted = int ~what "demoted_rows" entry in
+      let* mean_ms = float ~what "mean_ms" entry in
+      let* () = nonneg ~what:(what ^ " mean_ms") mean_ms in
+      let* () = check (demoted >= 0) "%s demoted_rows must be >= 0" what in
+      Ok (policy, kind, severity, demoted, mean_ms))
+
+let check j = Result.map ignore (parse_points j)
+
+let win j =
+  let open Bench_doc in
+  let* points = parse_points j in
+  let cell policy kind severity =
+    match
+      List.find_opt
+        (fun (p, k, s, _, _) ->
+          String.equal p policy && String.equal k kind && String.equal s severity)
+        points
+    with
+    | Some (_, _, _, demoted, mean) -> Ok (demoted, mean)
+    | None -> error "gray_sweep %s/%s/%s point is missing" policy kind severity
+  in
+  let* () =
+    each kinds (fun kind ->
+        each severities (fun severity ->
+            let* sd, sm = cell static_policy kind severity in
+            let* ad, am = cell adaptive_policy kind severity in
+            let* () =
+              check (ad <= sd)
+                "gray_sweep soundness regression — adaptive demotes %d rows \
+                 on %s/%s where static demotes %d"
+                ad kind severity sd
+            in
+            check
+              ((not (String.equal kind "slowdown"))
+              || am <= sm *. (1.0 -. response_margin))
+              "gray_sweep win-condition regression — adaptive mean %g ms on \
+               slowdown/%s is not %g%% under the static %g ms"
+              am severity (100.0 *. response_margin) sm))
+  in
+  Ok
+    "adaptive demotes no more than static everywhere and wins the slowdown \
+     cells"
+
+let measures j =
+  match parse_points j with
+  | Ok points -> (
+    match
+      List.filter_map
+        (fun (policy, _, _, _, mean) ->
+          if String.equal policy adaptive_policy then Some mean else None)
+        points
+    with
+    | [] -> []
+    | means ->
+      [
+        {
+          Bench_doc.name = "mean adaptive response";
+          value = Bench_doc.mean means;
+          better = Bench_doc.Lower;
+        };
+      ])
+  | Error _ -> []

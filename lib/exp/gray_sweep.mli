@@ -89,3 +89,27 @@ val run :
 
 val point_of :
   outcome -> policy:string -> kind:string -> severity:string -> point option
+
+(** {2 Reporting and checking} — what {!Sweep.registry} wires together. *)
+
+val to_json : outcome -> Msdq_obs.Json.t
+(** The bench document's [gray_sweep] section: the
+    (policy x kind x severity) grid — demoted rows, abandoned checks,
+    mean/p99 latency and gray-site count per cell — plus the shared
+    baseline drop and the static arm's fixed timeout. *)
+
+val pp : Format.formatter -> outcome -> unit
+(** The per-cell table and the win condition. *)
+
+val check : Msdq_obs.Json.t -> (unit, string) result
+(** Shape of a [gray_sweep] section: a non-empty point list with
+    non-negative demoted rows and mean latencies. *)
+
+val win : Msdq_obs.Json.t -> (string, string) result
+(** The win condition: every (kind, severity) cell carries both arms, the
+    adaptive arm demotes no more rows than the static arm, and on the
+    slowdown cells its mean response is at most
+    [(1 - response_margin)] times the static arm's. *)
+
+val measures : Msdq_obs.Json.t -> Bench_doc.measure list
+(** The mean adaptive-arm response (lower is better). *)

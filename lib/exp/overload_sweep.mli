@@ -84,3 +84,31 @@ val run :
 
 val points_of : outcome -> string -> point list
 (** The points of one policy row, in multiplier order. *)
+
+(** {2 Reporting and checking} — what {!Sweep.registry} wires together. *)
+
+val to_json : outcome -> Msdq_obs.Json.t
+(** The bench document's [overload_sweep] section: calibration (solo
+    response, deadline budget, queue depth), the load grid and one point
+    per (policy, multiplier) cell — admitted/shed counts, goodput,
+    deadline-hit rate, p50/p99 of admitted latency, demoted rows and
+    abandoned checks — plus the at-capacity p99. *)
+
+val pp : Format.formatter -> outcome -> unit
+(** The per-cell table and the tail bound. *)
+
+val check : Msdq_obs.Json.t -> (unit, string) result
+(** Shape of an [overload_sweep] section: a positive at-capacity p99 and a
+    non-empty point list with non-negative p99s and admitted/shed
+    counts. *)
+
+val win : Msdq_obs.Json.t -> (string, string) result
+(** The win condition: the naive baseline's p99 grows monotonically with
+    offered load and ends past twice the at-capacity p99, while every
+    rejecting shed policy keeps admitted p99 within that bound at every
+    overloaded point (multiplier >= 2). [degrade] admits everything and is
+    reported but not bounded. *)
+
+val measures : Msdq_obs.Json.t -> Bench_doc.measure list
+(** The at-capacity p99 (lower is better) and the mean goodput of the
+    controlled rows (higher is better). *)

@@ -4,6 +4,7 @@ open Msdq_query
 open Msdq_exec
 open Msdq_workload
 open Msdq_serve
+module Json = Msdq_obs.Json
 module Metrics = Msdq_obs.Metrics
 
 let log_src = Logs.Src.create "msdq.exp.serve" ~doc:"workload-engine sweep"
@@ -121,32 +122,13 @@ let point ~seed ~cost ~queries ~si =
 let run ?pool ?registry ?progress ?(samples = 4) ?(queries = 6) ?(seed = 1996)
     ?(cost = Cost.default) () =
   let id = "serve-sweep" in
-  let completed = Atomic.make 0 in
-  let feedback_mutex = Mutex.create () in
-  let point_at si =
-    let r = point ~seed ~cost ~queries ~si in
-    let done_now = 1 + Atomic.fetch_and_add completed 1 in
-    Mutex.lock feedback_mutex;
-    Log.info (fun m -> m "%s: sample %d done (%d/%d)" id si done_now samples);
-    (match progress with
-    | Some f -> f ~figure:id ~completed:done_now ~total:samples
-    | None -> ());
-    Mutex.unlock feedback_mutex;
-    r
-  in
-  let grid = Array.init samples (fun i -> i) in
   let results =
-    match pool with
-    | Some pool when Msdq_par.Pool.jobs pool > 1 ->
-        Msdq_par.Pool.map_array pool ~f:(fun si _ -> point_at si) grid
-    | Some _ | None -> Array.map point_at grid
+    Grid.run ?pool ?registry ?progress ~id ~counter:"msdq_serve_samples_total"
+      ~log:(fun si _ ~done_now ~total ->
+        Log.info (fun m -> m "%s: sample %d done (%d/%d)" id si done_now total))
+      (fun si -> point ~seed ~cost ~queries ~si)
+      (Array.init samples Fun.id)
   in
-  (match registry with
-  | Some reg ->
-      Metrics.inc
-        (Metrics.counter reg ~labels:[ ("figure", id) ] "msdq_serve_samples_total")
-        samples
-  | None -> ());
   let n_cache = Array.length cache_bytes_grid in
   let n_win = Array.length windows_us in
   let mean f cell_idx =
@@ -205,3 +187,86 @@ let run ?pool ?registry ?progress ?(samples = 4) ?(queries = 6) ?(seed = 1996)
 
 let series_of sweep label =
   List.find (fun s -> String.equal s.label label) sweep.series
+
+let to_json s =
+  let floats a = Json.Arr (Array.to_list (Array.map (fun x -> Json.Float x) a)) in
+  Json.Obj
+    [
+      ("id", Json.Str s.id);
+      ("title", Json.Str s.title);
+      ("xlabel", Json.Str s.xlabel);
+      ("cache_kib", floats s.xs);
+      ("windows_us", floats s.windows_us);
+      ("queries", Json.Int s.queries);
+      ("samples", Json.Int s.samples);
+      ("seed", Json.Int s.seed);
+      ( "series",
+        Json.Arr
+          (List.map
+             (fun ser ->
+               Json.Obj
+                 [
+                   ("label", Json.Str ser.label);
+                   ("strategy", Json.Str ser.strategy);
+                   ("window_us", Json.Float ser.window_us);
+                   ("throughputs", floats ser.throughputs);
+                   ("speedups", floats ser.speedups);
+                   ("hits_per_query", floats ser.hits);
+                 ])
+             s.series) );
+    ]
+
+let pp ppf s =
+  Format.fprintf ppf
+    "@[<v>%s — %s@,\
+     (%d queries per workload, %d samples, seed %d; speedup = cold/warm \
+     makespan)@,@,"
+    s.id s.title s.queries s.samples s.seed;
+  Format.fprintf ppf "%-18s" s.xlabel;
+  Array.iter
+    (fun kib -> Format.fprintf ppf " %10s" (Printf.sprintf "%gKiB" kib))
+    s.xs;
+  Format.fprintf ppf "@,";
+  List.iter
+    (fun ser ->
+      Format.fprintf ppf "%-18s" (ser.label ^ " q/s");
+      Array.iter (fun t -> Format.fprintf ppf " %10.2f" t) ser.throughputs;
+      Format.fprintf ppf "@,%-18s" (ser.label ^ " speedup");
+      Array.iter (fun x -> Format.fprintf ppf " %10.3f" x) ser.speedups;
+      Format.fprintf ppf "@,")
+    s.series;
+  Format.fprintf ppf "@]"
+
+let grid_of j =
+  Bench_doc.(
+    grid ~section:"serve_sweep" ~axis:"cache_kib"
+      ~arrays:
+        [
+          ("throughputs", nonneg); ("speedups", nonneg); ("hits_per_query", nonneg);
+        ]
+      j)
+
+let check j = Result.map ignore (grid_of j)
+
+let win j =
+  let open Bench_doc in
+  let* series = grid_of j in
+  let* () =
+    each series (fun (label, columns) ->
+        match List.assoc "speedups" columns with
+        | [] -> Ok ()
+        | first :: _ as speedups ->
+          let last = List.nth speedups (List.length speedups - 1) in
+          check (last >= first -. 1e-9)
+            "serve_sweep %s speedup fell from %.3f to %.3f across the cache \
+             sweep"
+            label first last)
+  in
+  Ok "warm-cache speedups never end below cold start"
+
+let measures j =
+  match grid_of j with
+  | Ok series ->
+    Bench_doc.series_means ~field:"throughputs" ~noun:"throughput"
+      ~better:Bench_doc.Higher series
+  | Error _ -> []

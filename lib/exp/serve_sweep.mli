@@ -60,3 +60,23 @@ val run :
 
 val series_of : sweep -> string -> series
 (** Raises [Not_found] when the sweep has no series with that label. *)
+
+(** {2 Reporting and checking} — what {!Sweep.registry} wires together. *)
+
+val to_json : sweep -> Msdq_obs.Json.t
+(** The bench document's [serve_sweep] section: cache capacities plus one
+    (throughputs, speedups, hits) series per (strategy, window) cell. *)
+
+val pp : Format.formatter -> sweep -> unit
+(** The throughput/speedup table per cache capacity. *)
+
+val check : Msdq_obs.Json.t -> (unit, string) result
+(** Shape of a [serve_sweep] section: a non-empty cache grid and series
+    list, every series as long as the grid, all values non-negative. *)
+
+val win : Msdq_obs.Json.t -> (string, string) result
+(** The win condition: no series' speedup ends below its cold-cache
+    starting point. *)
+
+val measures : Msdq_obs.Json.t -> Bench_doc.measure list
+(** Mean throughput per series (higher is better). *)

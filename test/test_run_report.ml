@@ -334,303 +334,174 @@ let microbench_section =
     mb_certify_rows_per_s = 4.0e5;
   }
 
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec scan i = i + m <= n && (String.sub s i m = sub || scan (i + 1)) in
+  scan 0
+
+let sweep id =
+  match Sweep.find id with
+  | Some s -> s
+  | None -> Alcotest.failf "no sweep %s in the registry" id
+
+let sweeps_json =
+  [
+    (sweep "fault-sweep", Fault_sweep.to_json fault_sweep_section);
+    (sweep "recovery-sweep", Fault_sweep.recovery_to_json recovery_sweep_section);
+    (sweep "serve-sweep", Serve_sweep.to_json serve_sweep_section);
+    (sweep "auto-sweep", Auto_sweep.to_json auto_sweep_section);
+    (sweep "overload-sweep", Overload_sweep.to_json overload_sweep_section);
+    (sweep "gray-sweep", Gray_sweep.to_json gray_sweep_section);
+  ]
+
+let bench ?(parallel = parallel_section) ?(latency = latency_section)
+    ?(microbench = microbench_section) ?(strategies = [ ("BL", 0.1, 0.05) ])
+    () =
+  Run_report.bench_to_json ~generated_at:"2026-01-01T00:00:00Z" ~seed:1996
+    ~parallel ~sweeps:sweeps_json ~latency ~microbench ~strategies
+    ~wall:[ ("msdq/parse-q1", 2500.0) ]
+
+let good = bench ()
+let obj_map f = function Json.Obj l -> Json.Obj (f l) | j -> j
+let without key = obj_map (List.filter (fun (k, _) -> k <> key))
+
+let replace key v =
+  obj_map (List.map (fun (k, old) -> if String.equal k key then (k, v) else (k, old)))
+
+let with_schema s = replace "schema" (Json.Str s)
+
+(* Rewrites one field of the [index]th entry of array [key] of section
+   [section] — how the tests plant a bad value a generator never emits. *)
+let poke ~section ~key ?(index = 0) ~field v doc =
+  let sec = Option.get (Json.member section doc) in
+  let entries = Option.get Option.(Json.member key sec |> map Json.to_list |> join) in
+  let entries =
+    List.mapi (fun i e -> if i = index then replace field v e else e) entries
+  in
+  replace section (replace key (Json.Arr entries) sec) doc
+
+let accept name j =
+  match Run_report.validate_bench j with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s rejected: %s" name msg
+
+let reject name j =
+  match Run_report.validate_bench j with
+  | Ok () -> Alcotest.failf "%s accepted" name
+  | Error _ -> ()
+
 let test_bench_validation () =
-  let good =
-    Run_report.bench_to_json ~generated_at:"2026-01-01T00:00:00Z" ~seed:1996
-      ~parallel:parallel_section ~fault_sweep:fault_sweep_section
-      ~recovery_sweep:recovery_sweep_section ~serve_sweep:serve_sweep_section
-      ~latency:latency_section ~auto_sweep:auto_sweep_section
-      ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[ ("msdq/parse-q1", 2500.0) ]
-  in
-  (match Run_report.validate_bench good with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "valid document rejected: %s" msg);
-  (* A /1 document (no seed, no parallel section) must stay valid: CI's
-     accumulated perf trajectory spans the schema bump. *)
-  let v1 =
-    Json.Obj
-      [
-        ("schema", Json.Str Run_report.bench_schema_v1);
-        ("generated_at", Json.Str "2026-01-01T00:00:00Z");
-        ( "strategies",
-          Json.Arr
-            [
-              Json.Obj
-                [
-                  ("name", Json.Str "BL");
-                  ("total_s", Json.Float 0.1);
-                  ("response_s", Json.Float 0.05);
-                ];
-            ] );
-        ("wall", Json.Arr []);
-      ]
-  in
-  (match Run_report.validate_bench v1 with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "valid /1 document rejected: %s" msg);
-  (* Likewise a /2 document (no fault_sweep section). *)
-  let strategies_json =
-    Json.Arr
-      [
-        Json.Obj
-          [
-            ("name", Json.Str "BL");
-            ("total_s", Json.Float 0.1);
-            ("response_s", Json.Float 0.05);
-          ];
-      ]
-  in
-  let v2 =
-    Json.Obj
-      [
-        ("schema", Json.Str Run_report.bench_schema_v2);
-        ("generated_at", Json.Str "2026-01-01T00:00:00Z");
-        ("seed", Json.Int 1996);
-        ("parallel", parallel_json);
-        ("strategies", strategies_json);
-        ("wall", Json.Arr []);
-      ]
-  in
-  (match Run_report.validate_bench v2 with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "valid /2 document rejected: %s" msg);
-  let reject name j =
-    match Run_report.validate_bench j with
-    | Ok () -> Alcotest.failf "%s accepted" name
-    | Error _ -> ()
-  in
+  accept "valid document" good;
   reject "empty object" (Json.Obj []);
-  reject "wrong schema"
-    (Json.Obj
-       [
-         ("schema", Json.Str "msdq-bench/999");
-         ("generated_at", Json.Str "t");
-         ("strategies", Json.Arr [ Json.Obj [] ]);
-         ("wall", Json.Arr []);
-       ]);
-  reject "empty strategies"
-    (Json.Obj
-       [
-         ("schema", Json.Str Run_report.bench_schema);
-         ("generated_at", Json.Str "t");
-         ("strategies", Json.Arr []);
-         ("wall", Json.Arr []);
-       ]);
-  reject "negative time"
-    (Run_report.bench_to_json ~generated_at:"t" ~seed:1996
-       ~parallel:parallel_section ~fault_sweep:fault_sweep_section
-       ~recovery_sweep:recovery_sweep_section ~serve_sweep:serve_sweep_section
-       ~latency:latency_section ~auto_sweep:auto_sweep_section
-       ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-       ~strategies:[ ("BL", -1.0, 0.05) ]
-       ~wall:[]);
-  (* Newer schemas declared without their sections: the validator must
-     demand them. *)
-  reject "/2 without parallel"
-    (Json.Obj
-       [
-         ("schema", Json.Str Run_report.bench_schema_v2);
-         ("generated_at", Json.Str "t");
-         ("seed", Json.Int 1);
-         ("strategies", strategies_json);
-         ("wall", Json.Arr []);
-       ]);
-  reject "/3 without fault_sweep"
-    (Json.Obj
-       [
-         ("schema", Json.Str Run_report.bench_schema_v3);
-         ("generated_at", Json.Str "t");
-         ("seed", Json.Int 1);
-         ("parallel", parallel_json);
-         ("strategies", strategies_json);
-         ("wall", Json.Arr []);
-       ]);
-  reject "/4 without recovery_sweep"
-    (Json.Obj
-       [
-         ("schema", Json.Str Run_report.bench_schema_v4);
-         ("generated_at", Json.Str "t");
-         ("seed", Json.Int 1);
-         ("parallel", parallel_json);
-         ("fault_sweep", Run_report.fault_sweep_to_json fault_sweep_section);
-         ("strategies", strategies_json);
-         ("wall", Json.Arr []);
-       ]);
-  reject "/5 without serve_sweep"
-    (Json.Obj
-       [
-         ("schema", Json.Str Run_report.bench_schema_v5);
-         ("generated_at", Json.Str "t");
-         ("seed", Json.Int 1);
-         ("parallel", parallel_json);
-         ("fault_sweep", Run_report.fault_sweep_to_json fault_sweep_section);
-         ( "recovery_sweep",
-           Run_report.recovery_sweep_to_json recovery_sweep_section );
-         ("strategies", strategies_json);
-         ("wall", Json.Arr []);
-       ]);
-  reject "/6 without latency"
-    (Json.Obj
-       [
-         ("schema", Json.Str Run_report.bench_schema_v6);
-         ("generated_at", Json.Str "t");
-         ("seed", Json.Int 1);
-         ("parallel", parallel_json);
-         ("fault_sweep", Run_report.fault_sweep_to_json fault_sweep_section);
-         ( "recovery_sweep",
-           Run_report.recovery_sweep_to_json recovery_sweep_section );
-         ("serve_sweep", Run_report.serve_sweep_to_json serve_sweep_section);
-         ("strategies", strategies_json);
-         ("wall", Json.Arr []);
-       ]);
-  (* A /5 document without the latency section stays valid. *)
-  (match
-     Run_report.validate_bench
-       (Json.Obj
-          [
-            ("schema", Json.Str Run_report.bench_schema_v5);
-            ("generated_at", Json.Str "t");
-            ("seed", Json.Int 1);
-            ("parallel", parallel_json);
-            ("fault_sweep", Run_report.fault_sweep_to_json fault_sweep_section);
-            ( "recovery_sweep",
-              Run_report.recovery_sweep_to_json recovery_sweep_section );
-            ("serve_sweep", Run_report.serve_sweep_to_json serve_sweep_section);
-            ("strategies", strategies_json);
-            ("wall", Json.Arr []);
-          ])
-   with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "valid /5 document rejected: %s" msg);
-  (* The /7 section: a /7 document must carry it, a /6 one need not. *)
-  let obj_map f = function Json.Obj l -> Json.Obj (f l) | j -> j in
-  let without key = obj_map (List.filter (fun (k, _) -> k <> key)) in
-  let with_schema s =
-    obj_map
-      (List.map (fun (k, v) ->
-           if String.equal k "schema" then (k, Json.Str s) else (k, v)))
-  in
+  reject "wrong schema" (with_schema "msdq-bench/999" good);
+  reject "empty strategies" (bench ~strategies:[] ());
+  reject "negative time" (bench ~strategies:[ ("BL", -1.0, 0.05) ] ());
+  (* Schemas /1 through /5 are no longer accepted: no committed baseline
+     uses them. The rejection names every accepted id. *)
+  List.iter
+    (fun v ->
+      let schema = Printf.sprintf "msdq-bench/%d" v in
+      match Run_report.validate_bench (with_schema schema good) with
+      | Ok () -> Alcotest.failf "%s accepted" schema
+      | Error msg ->
+        List.iter
+          (fun id ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s rejection names %s" schema id)
+              true
+              (contains ~sub:id msg))
+          Run_report.bench_schemas)
+    [ 1; 2; 3; 4; 5 ];
+  Alcotest.(check (list string))
+    "accepted schemas"
+    [
+      "msdq-bench/6"; "msdq-bench/7"; "msdq-bench/8"; "msdq-bench/9";
+      "msdq-bench/10";
+    ]
+    Run_report.bench_schemas;
+  (* Every section is demanded from the version that introduced it on:
+     the oldest accepted schema already requires everything up to /6. *)
+  let v6 = with_schema "msdq-bench/6" good in
+  accept "/6 document" v6;
+  List.iter
+    (fun key -> reject ("/6 without " ^ key) (without key v6))
+    [
+      "seed"; "parallel"; "fault_sweep"; "recovery_sweep"; "serve_sweep";
+      "latency";
+    ];
+  (* A section newer than the declared schema is optional. *)
+  accept "/6 without auto_sweep" (without "auto_sweep" v6);
+  accept "/7 without overload_sweep"
+    (with_schema "msdq-bench/7" (without "overload_sweep" good));
+  accept "/9 without microbench"
+    (with_schema "msdq-bench/9" (without "microbench" good));
   reject "/7 without auto_sweep" (without "auto_sweep" good);
-  (* The /10 section: a /10 document must carry a well-formed microbench,
-     a /9 one need not. *)
+  reject "/8 without overload_sweep" (without "overload_sweep" good);
+  reject "/9 without gray_sweep" (without "gray_sweep" good);
   reject "/10 without microbench" (without "microbench" good);
-  (match
-     Run_report.validate_bench
-       (with_schema Run_report.bench_schema_v9 (without "microbench" good))
-   with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "valid /9 document rejected: %s" msg);
-  let with_microbench m =
-    Run_report.bench_to_json ~generated_at:"t" ~seed:1
-      ~parallel:parallel_section ~fault_sweep:fault_sweep_section
-      ~recovery_sweep:recovery_sweep_section ~serve_sweep:serve_sweep_section
-      ~latency:latency_section ~auto_sweep:auto_sweep_section
-      ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:m
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[]
-  in
   reject "non-positive microbench speedup"
-    (with_microbench
-       { microbench_section with Run_report.mb_eval_speedup = 0.0 });
+    (bench ~microbench:{ microbench_section with Run_report.mb_eval_speedup = 0.0 } ());
   reject "microbench without objects"
-    (with_microbench { microbench_section with Run_report.mb_objects = 0 });
-  (match
-     Run_report.validate_bench
-       (with_schema Run_report.bench_schema_v6 (without "auto_sweep" good))
-   with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "valid /6 document rejected: %s" msg);
-  let with_parallel fields =
-    Run_report.bench_to_json ~generated_at:"t" ~seed:1 ~parallel:fields
-      ~fault_sweep:fault_sweep_section ~recovery_sweep:recovery_sweep_section
-      ~serve_sweep:serve_sweep_section ~latency:latency_section
-      ~auto_sweep:auto_sweep_section
-      ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[]
-  in
+    (bench ~microbench:{ microbench_section with Run_report.mb_objects = 0 } ());
   reject "parallel jobs < 1"
-    (with_parallel { parallel_section with Run_report.jobs = 0 });
+    (bench ~parallel:{ parallel_section with Run_report.jobs = 0 } ());
   reject "negative speedup"
-    (with_parallel { parallel_section with Run_report.speedup = -2.0 });
-  let with_sweep series =
-    Run_report.bench_to_json ~generated_at:"t" ~seed:1
-      ~parallel:parallel_section
-      ~fault_sweep:{ fault_sweep_section with Fault_sweep.series }
-      ~recovery_sweep:recovery_sweep_section ~serve_sweep:serve_sweep_section
-      ~latency:latency_section ~auto_sweep:auto_sweep_section
-      ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[]
+    (bench ~parallel:{ parallel_section with Run_report.speedup = -2.0 } ())
+
+(* One sweep section swapped for another rendering of the same sweep. *)
+let with_sweep id json = replace (sweep id).Sweep.section json good
+
+let test_sweep_validation () =
+  let fault series =
+    with_sweep "fault-sweep"
+      (Fault_sweep.to_json { fault_sweep_section with Fault_sweep.series })
   in
-  reject "empty fault_sweep series" (with_sweep []);
+  let fail_stop =
+    { Fault_sweep.label = "fail-stop"; responses = [| 0.1; 0.1 |]; recalls = [| 0.0; 0.0 |] }
+  in
+  reject "empty fault_sweep series" (fault []);
   reject "recall above 1"
-    (with_sweep
-       [ { Fault_sweep.label = "BL"; responses = [| 0.1; 0.1 |]; recalls = [| 1.5; 1.0 |] } ]);
+    (fault
+       [
+         { Fault_sweep.label = "BL"; responses = [| 0.1; 0.1 |]; recalls = [| 1.5; 1.0 |] };
+         fail_stop;
+       ]);
   reject "series length mismatch"
-    (with_sweep
-       [ { Fault_sweep.label = "BL"; responses = [| 0.1 |]; recalls = [| 1.0 |] } ]);
-  let with_rsweep rseries =
-    Run_report.bench_to_json ~generated_at:"t" ~seed:1
-      ~parallel:parallel_section ~fault_sweep:fault_sweep_section
-      ~recovery_sweep:{ recovery_sweep_section with Fault_sweep.rseries }
-      ~serve_sweep:serve_sweep_section ~latency:latency_section
-      ~auto_sweep:auto_sweep_section
-      ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[]
+    (fault
+       [ { Fault_sweep.label = "BL"; responses = [| 0.1 |]; recalls = [| 1.0 |] }; fail_stop ]);
+  reject "fault sweep without fail-stop"
+    (fault
+       [ { Fault_sweep.label = "BL"; responses = [| 0.1; 0.1 |]; recalls = [| 1.0; 1.0 |] } ]);
+  reject "recall below fail-stop"
+    (fault
+       [
+         { Fault_sweep.label = "BL"; responses = [| 0.1; 0.1 |]; recalls = [| 0.5; 1.0 |] };
+         { fail_stop with Fault_sweep.recalls = [| 0.6; 0.0 |] };
+       ]);
+  let recovery rseries =
+    with_sweep "recovery-sweep"
+      (Fault_sweep.recovery_to_json
+         { recovery_sweep_section with Fault_sweep.rseries })
   in
-  reject "empty recovery_sweep series" (with_rsweep []);
-  reject "recovery recall above 1"
-    (with_rsweep
-       [
-         {
-           Fault_sweep.r_label = "BL+failover";
-           r_responses = [| 0.1; 0.1 |];
-           r_recalls = [| 1.5; 1.0 |];
-           r_demoted = [| 0.0; 0.0 |];
-         };
-       ]);
-  reject "negative demoted mean"
-    (with_rsweep
-       [
-         {
-           Fault_sweep.r_label = "BL+failover";
-           r_responses = [| 0.1; 0.1 |];
-           r_recalls = [| 1.0; 1.0 |];
-           r_demoted = [| -1.0; 0.0 |];
-         };
-       ]);
+  let rserie ?(responses = [| 0.1; 0.1 |]) ?(recalls = [| 1.0; 1.0 |])
+      ?(demoted = [| 0.0; 0.0 |]) () =
+    {
+      Fault_sweep.r_label = "BL+failover";
+      r_responses = responses;
+      r_recalls = recalls;
+      r_demoted = demoted;
+    }
+  in
+  reject "empty recovery_sweep series" (recovery []);
+  reject "recovery recall above 1" (recovery [ rserie ~recalls:[| 1.5; 1.0 |] () ]);
+  reject "negative demoted mean" (recovery [ rserie ~demoted:[| -1.0; 0.0 |] () ]);
   reject "recovery series length mismatch"
-    (with_rsweep
-       [
-         {
-           Fault_sweep.r_label = "BL+failover";
-           r_responses = [| 0.1 |];
-           r_recalls = [| 1.0 |];
-           r_demoted = [| 0.0 |];
-         };
-       ]);
-  let with_ssweep series =
-    Run_report.bench_to_json ~generated_at:"t" ~seed:1
-      ~parallel:parallel_section ~fault_sweep:fault_sweep_section
-      ~recovery_sweep:recovery_sweep_section
-      ~serve_sweep:{ serve_sweep_section with Serve_sweep.series }
-      ~latency:latency_section ~auto_sweep:auto_sweep_section
-      ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[]
+    (recovery
+       [ rserie ~responses:[| 0.1 |] ~recalls:[| 1.0 |] ~demoted:[| 0.0 |] () ]);
+  let serve series =
+    with_sweep "serve-sweep"
+      (Serve_sweep.to_json { serve_sweep_section with Serve_sweep.series })
   in
-  reject "empty serve_sweep series" (with_ssweep []);
   let sserie throughputs speedups hits =
     {
       Serve_sweep.label = "BL w=0us";
@@ -641,90 +512,29 @@ let test_bench_validation () =
       hits;
     }
   in
+  reject "empty serve_sweep series" (serve []);
   reject "negative throughput"
-    (with_ssweep [ sserie [| -1.0; 1.0 |] [| 1.0; 1.0 |] [| 0.0; 0.0 |] ]);
+    (serve [ sserie [| -1.0; 1.0 |] [| 1.0; 1.0 |] [| 0.0; 0.0 |] ]);
   reject "negative speedup mean"
-    (with_ssweep [ sserie [| 1.0; 1.0 |] [| 1.0; -0.5 |] [| 0.0; 0.0 |] ]);
+    (serve [ sserie [| 1.0; 1.0 |] [| 1.0; -0.5 |] [| 0.0; 0.0 |] ]);
   reject "serve series length mismatch"
-    (with_ssweep [ sserie [| 1.0 |] [| 1.0 |] [| 0.0 |] ]);
-  let with_latency latency =
-    Run_report.bench_to_json ~generated_at:"t" ~seed:1
-      ~parallel:parallel_section ~fault_sweep:fault_sweep_section
-      ~recovery_sweep:recovery_sweep_section ~serve_sweep:serve_sweep_section
-      ~latency ~auto_sweep:auto_sweep_section
-      ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[]
-  in
-  let summary n p50 p90 p99 =
-    {
-      Msdq_simkit.Stats.n;
-      mean_us = p50;
-      p50_us = p50;
-      p90_us = p90;
-      p99_us = p99;
-      max_us = p99;
-    }
-  in
-  reject "empty latency section" (with_latency []);
-  reject "negative latency quantile"
-    (with_latency [ ("BL", summary 4 (-1.0) 2.0 3.0) ]);
-  reject "non-monotone latency quantiles"
-    (with_latency [ ("BL", summary 4 5.0 2.0 3.0) ]);
-  (* An all-zero summary from an empty sample is fine. *)
-  (match
-     Run_report.validate_bench (with_latency [ ("BL", summary 0 0.0 0.0 0.0) ])
-   with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "empty-sample latency summary rejected: %s" msg);
-  let with_auto auto =
-    Run_report.bench_to_json ~generated_at:"t" ~seed:1
-      ~parallel:parallel_section ~fault_sweep:fault_sweep_section
-      ~recovery_sweep:recovery_sweep_section ~serve_sweep:serve_sweep_section
-      ~latency:latency_section ~auto_sweep:auto
-      ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[]
-  in
+    (serve [ sserie [| 1.0 |] [| 1.0 |] [| 0.0 |] ]);
+  reject "serve speedup ends below cold start"
+    (serve [ sserie [| 1.0; 1.0 |] [| 1.0; 0.5 |] [| 0.0; 0.0 |] ]);
+  let auto a = with_sweep "auto-sweep" (Auto_sweep.to_json a) in
   (* The win condition is enforced: AUTO slower than the best fixed
-     strategy fails validation. *)
+     strategy fails validation; a tie passes. *)
   reject "auto_sweep regression"
-    (with_auto { auto_sweep_section with Auto_sweep.auto_makespan_s = 0.26 });
+    (auto { auto_sweep_section with Auto_sweep.auto_makespan_s = 0.26 });
+  accept "AUTO tie with best fixed"
+    (auto { auto_sweep_section with Auto_sweep.auto_makespan_s = 0.25 });
   reject "auto_sweep empty fixed"
-    (with_auto { auto_sweep_section with Auto_sweep.fixed = [] });
+    (auto { auto_sweep_section with Auto_sweep.fixed = [] });
   reject "auto_sweep rank rate above 1"
-    (with_auto { auto_sweep_section with Auto_sweep.rank_match_rate = 1.5 });
+    (auto { auto_sweep_section with Auto_sweep.rank_match_rate = 1.5 });
   reject "auto_sweep negative switches"
-    (with_auto { auto_sweep_section with Auto_sweep.switches = -1 });
-  (* AUTO exactly matching the best fixed strategy passes (the tolerance
-     admits ties). *)
-  (match
-     Run_report.validate_bench
-       (with_auto { auto_sweep_section with Auto_sweep.auto_makespan_s = 0.25 })
-   with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "AUTO tie with best fixed rejected: %s" msg);
-  (* The /8 section: required at /8, not at /7; its robustness win
-     condition is enforced on the document, not just printed. *)
-  reject "/8 without overload_sweep" (without "overload_sweep" good);
-  (match
-     Run_report.validate_bench
-       (with_schema Run_report.bench_schema_v7 (without "overload_sweep" good))
-   with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "valid /7 document rejected: %s" msg);
-  let with_overload o =
-    Run_report.bench_to_json ~generated_at:"t" ~seed:1
-      ~parallel:parallel_section ~fault_sweep:fault_sweep_section
-      ~recovery_sweep:recovery_sweep_section ~serve_sweep:serve_sweep_section
-      ~latency:latency_section ~auto_sweep:auto_sweep_section ~overload_sweep:o
-      ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[]
-  in
+    (auto { auto_sweep_section with Auto_sweep.switches = -1 });
+  let overload o = with_sweep "overload-sweep" (Overload_sweep.to_json o) in
   let set_p99 policy multiplier p99 o =
     {
       o with
@@ -742,22 +552,108 @@ let test_bench_validation () =
   (* A rejecting policy's p99 escaping twice the at-capacity p99 at an
      overloaded point is the regression the section exists to catch. *)
   reject "overload tail-bound regression"
-    (with_overload (set_p99 "reject-newest" 3.0 25.0 overload_sweep_section));
+    (overload (set_p99 "reject-newest" 3.0 25.0 overload_sweep_section));
   reject "overload naive p99 drops under load"
-    (with_overload (set_p99 "naive" 2.0 5.0 overload_sweep_section));
+    (overload (set_p99 "naive" 2.0 5.0 overload_sweep_section));
   reject "overload sweep never overloaded"
-    (with_overload (set_p99 "naive" 3.0 15.0 overload_sweep_section));
+    (overload (set_p99 "naive" 3.0 15.0 overload_sweep_section));
   reject "overload nonpositive cap_p99"
-    (with_overload
-       { overload_sweep_section with Overload_sweep.cap_p99_ms = 0.0 });
+    (overload { overload_sweep_section with Overload_sweep.cap_p99_ms = 0.0 });
   (* degrade admits everything and is reported but exempt from the tail
      bound. *)
-  match
-    Run_report.validate_bench
-      (with_overload (set_p99 "degrade" 3.0 500.0 overload_sweep_section))
-  with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "degrade row wrongly held to the bound: %s" msg
+  accept "degrade row beyond the bound"
+    (overload (set_p99 "degrade" 3.0 500.0 overload_sweep_section));
+  let gray points =
+    with_sweep "gray-sweep"
+      (Gray_sweep.to_json { gray_sweep_section with Gray_sweep.points })
+  in
+  let set ~policy ~kind ~severity f =
+    List.map
+      (fun (p : Gray_sweep.point) ->
+        if
+          String.equal p.Gray_sweep.pt_policy policy
+          && String.equal p.Gray_sweep.pt_kind kind
+          && String.equal p.Gray_sweep.pt_severity severity
+        then f p
+        else p)
+      gray_sweep_section.Gray_sweep.points
+  in
+  reject "gray: adaptive demotes more than static"
+    (gray
+       (set ~policy:"adaptive" ~kind:"jitter" ~severity:"mild" (fun p ->
+            { p with Gray_sweep.pt_demoted_rows = 5 })));
+  reject "gray: slowdown margin missed"
+    (gray
+       (set ~policy:"adaptive" ~kind:"slowdown" ~severity:"severe" (fun p ->
+            { p with Gray_sweep.pt_mean_ms = 19.5 })));
+  accept "gray: non-slowdown cell needs no margin"
+    (gray
+       (set ~policy:"adaptive" ~kind:"flap" ~severity:"severe" (fun p ->
+            { p with Gray_sweep.pt_mean_ms = 20.0 })));
+  reject "gray: cell missing an arm"
+    (gray
+       (List.filter
+          (fun (p : Gray_sweep.point) ->
+            not
+              (String.equal p.Gray_sweep.pt_policy "static"
+              && String.equal p.Gray_sweep.pt_kind "oneway"))
+          gray_sweep_section.Gray_sweep.points));
+  reject "gray: empty points" (gray [])
+
+(* Gaps the validator used to let through: every number must be a number,
+   fault and recovery responses must be non-negative, and a latency
+   summary's max may not undercut its p99. *)
+let test_validator_gaps () =
+  let poke_series section field v =
+    poke ~section ~key:"series" ~field (Json.Arr [ v; Json.Float 1.0 ]) good
+  in
+  reject "non-numeric fault recall"
+    (poke_series "fault_sweep" "recalls" (Json.Str "oops"));
+  reject "non-numeric recovery recall"
+    (poke_series "recovery_sweep" "recalls" (Json.Str "oops"));
+  reject "non-numeric recovery demoted"
+    (poke_series "recovery_sweep" "demoted" Json.Null);
+  reject "null serve throughput"
+    (poke_series "serve_sweep" "throughputs" Json.Null);
+  reject "negative fault response"
+    (poke_series "fault_sweep" "responses_s" (Json.Float (-5.0)));
+  reject "negative recovery response"
+    (poke_series "recovery_sweep" "responses_s" (Json.Float (-5.0)));
+  let summary ~p99 ~max =
+    {
+      Msdq_simkit.Stats.n = 8;
+      mean_us = 5000.0;
+      p50_us = 4000.0;
+      p90_us = 9000.0;
+      p99_us = p99;
+      max_us = max;
+    }
+  in
+  reject "latency max below p99"
+    (bench ~latency:[ ("BL", summary ~p99:9500.0 ~max:9000.0) ] ());
+  accept "latency max equal to p99"
+    (bench ~latency:[ ("BL", summary ~p99:9500.0 ~max:9500.0) ] ())
+
+let test_latency_validation () =
+  let summary n p50 p90 p99 =
+    {
+      Msdq_simkit.Stats.n;
+      mean_us = p50;
+      p50_us = p50;
+      p90_us = p90;
+      p99_us = p99;
+      max_us = p99;
+    }
+  in
+  let with_latency latency = bench ~latency () in
+  reject "empty latency section" (with_latency []);
+  reject "negative latency quantile"
+    (with_latency [ ("BL", summary 4 (-1.0) 2.0 3.0) ]);
+  reject "non-monotone latency quantiles"
+    (with_latency [ ("BL", summary 4 5.0 2.0 3.0) ]);
+  (* An all-zero summary from an empty sample is fine. *)
+  accept "empty-sample latency summary"
+    (with_latency [ ("BL", summary 0 0.0 0.0 0.0) ])
 
 let suite =
   [
@@ -767,4 +663,7 @@ let suite =
     Alcotest.test_case "utilization table" `Quick test_utilization_renders;
     Alcotest.test_case "figure json" `Quick test_figure_json;
     Alcotest.test_case "bench validation" `Quick test_bench_validation;
+    Alcotest.test_case "sweep section validation" `Quick test_sweep_validation;
+    Alcotest.test_case "validator gaps" `Quick test_validator_gaps;
+    Alcotest.test_case "latency validation" `Quick test_latency_validation;
   ]

@@ -1,7 +1,10 @@
-(* Byte-for-byte pins of the sweep command line and of the bench gate.
+(* Byte-for-byte pins of the sweep command line and of the bench gate, plus
+   the bench tools' handling of missing inputs.
 
-   Every sweep runs at two samples, seed 1996, on one worker, in text and
-   in --json form; the output must match test/golden/sweeps/<id>.{txt,json}.
+   Every registered sweep runs as [msdq experiment <id>] at two samples,
+   seed 1996, on one worker, in text and in --json form; the output must
+   match test/golden/sweeps/<id>.{txt,json}. (CI diffs the same --json
+   output at four workers against the same files.)
    The bench gate runs once per committed baseline, as
    [bench_gate --baseline bench/results --fresh bench/results/<f>] from the
    source root, and must print test/golden/gate/<f>.txt.
@@ -31,19 +34,9 @@ let stdout_of ~what build =
   if rc <> 0 then Alcotest.failf "%s exited %d" what rc;
   out
 
-let sweeps =
-  [
-    ("fault-sweep", [ "experiment"; "fault-sweep" ]);
-    ("recovery-sweep", [ "experiment"; "recovery-sweep" ]);
-    ("serve-sweep", [ "serve"; "--sweep" ]);
-    ("auto-sweep", [ "experiment"; "auto-sweep" ]);
-    ("overload-sweep", [ "experiment"; "overload-sweep" ]);
-    ("gray-sweep", [ "experiment"; "gray-sweep" ]);
-  ]
-
-let test_sweep (id, invocation) () =
+let test_sweep id () =
   let args =
-    invocation @ [ "--samples"; "2"; "--seed"; "1996"; "--jobs"; "1" ]
+    [ "experiment"; id; "--samples"; "2"; "--seed"; "1996"; "--jobs"; "1" ]
   in
   List.iter
     (fun (ext, extra) ->
@@ -81,12 +74,48 @@ let test_gate file () =
     (read_file ("golden/gate/" ^ Filename.chop_suffix file ".json" ^ ".txt"))
     got
 
+(* A missing input is a one-line diagnostic naming the path and exit 1,
+   never an uncaught exception. *)
+let test_missing_inputs () =
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "msdq-no-such" in
+  let missing_json = missing ^ ".json" in
+  List.iter
+    (fun (exe, args, path) ->
+      let out = Filename.temp_file "msdq_missing" ".out" in
+      let rc =
+        Sys.command
+          (Filename.quote_command (Filename.concat root exe) ~stdout:out
+             ~stderr:out args)
+      in
+      let text = read_file out in
+      Sys.remove out;
+      let what = String.concat " " (exe :: args) in
+      Alcotest.(check int) (what ^ " exit code") 1 rc;
+      Alcotest.(check int)
+        (what ^ " prints one line") 1
+        (List.length (String.split_on_char '\n' (String.trim text)));
+      let contains =
+        let n = String.length text and m = String.length path in
+        let rec scan i = i + m <= n && (String.sub text i m = path || scan (i + 1)) in
+        scan 0
+      in
+      Alcotest.(check bool) (what ^ " names " ^ path) true contains)
+    [
+      ("tools/bench_gate.exe", [ "--baseline"; missing; "--fresh"; missing_json ], missing);
+      ( "tools/bench_gate.exe",
+        [ "--baseline"; Filename.concat root "bench/results"; "--fresh"; missing_json ],
+        missing_json );
+      ("bench/main.exe", [ "--check"; missing_json ], missing_json);
+    ]
+
 let suite =
   List.map
-    (fun ((id, _) as sweep) ->
-      Alcotest.test_case (id ^ " output") `Quick (test_sweep sweep))
-    sweeps
+    (fun (s : Msdq_exp.Sweep.t) ->
+      let id = s.Msdq_exp.Sweep.id in
+      Alcotest.test_case (id ^ " output") `Quick (test_sweep id))
+    Msdq_exp.Sweep.registry
   @ List.map
       (fun file ->
         Alcotest.test_case ("gate on " ^ file) `Quick (test_gate file))
       baselines
+  @ [ Alcotest.test_case "missing inputs diagnosed" `Quick test_missing_inputs ]

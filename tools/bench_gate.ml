@@ -4,28 +4,23 @@
    in bench/results/ and fails (exit 1) on:
 
    - schema violations in either document (Run_report.validate_bench);
-   - rank inversions in the fresh document's sweep sections: a recovery
-     strategy's certain-set recall falling below the fail-stop baseline's,
-     a serve-sweep speedup ending below its cold-cache starting point,
-     AUTO's makespan exceeding the best fixed strategy's, an
-     overload-sweep tail bound breaking (a rejecting shed policy's
-     admitted p99 escaping twice the at-capacity p99, or the naive
-     baseline's p99 failing to grow monotonically past it), or a
-     gray-sweep win-condition break (the adaptive-timeout arm demoting
-     more rows than the static arm on any cell, or failing to cut mean
-     response on the slowdown cells by the pinned margin), or a
-     microbench bar break (the columnar local-eval speedup falling under
+   - a broken win condition in the fresh document: every sweep in
+     Sweep.registry that declares one is re-checked here and reported on
+     its own line (the conditions themselves live with the sweeps — see
+     each sweep module's [win]);
+   - a microbench bar break (the columnar local-eval speedup falling under
      5x, or the bitset signature filter losing to the per-object one —
      both same-process ratios, so safe to gate cross-machine);
    - per-section simulated-time regressions beyond --tolerance (default
-     0.2 = 20%) against the baseline.
+     0.2 = 20%) against the baseline: the demo-workload strategies, the
+     latency quantiles and each sweep's measures.
 
-   Simulated times are deterministic given a seed, so sweep sections are
-   only compared when the two documents agree on seed and sample count
-   (anything else is an apples-to-oranges diff and is skipped with a
-   printed reason). The demo-workload strategies section and the latency
-   quantiles use fixed internal seeds and are always compared. Bechamel
-   wall-clock medians are machine-dependent and never gated.
+   Simulated times are deterministic given a seed, so a sweep section is
+   only compared when the two documents agree on its keys (seed, sample
+   count, sizes); anything else is an apples-to-oranges diff and is
+   skipped with a printed reason. The demo-workload strategies section and
+   the latency quantiles use fixed internal seeds and are always compared.
+   Bechamel wall-clock medians are machine-dependent and never gated.
 
    Usage: bench_gate --baseline FILE|DIR --fresh FILE [--tolerance F]
    A DIR baseline picks the lexicographically last BENCH_*.json in it
@@ -33,6 +28,8 @@
 
 module Json = Msdq_obs.Json
 module Run_report = Msdq_exp.Run_report
+module Sweep = Msdq_exp.Sweep
+module Bench_doc = Msdq_exp.Bench_doc
 
 let failed = ref false
 
@@ -46,15 +43,16 @@ let fail fmt =
 let skip fmt = Format.kasprintf (fun s -> Format.printf "skip %s@." s) fmt
 let pass fmt = Format.kasprintf (fun s -> Format.printf "ok   %s@." s) fmt
 
+(* A missing or unreadable input is a usage error, not a regression. *)
+let die_unreadable msg =
+  Format.eprintf "bench_gate: cannot read %s@." msg;
+  exit 1
+
 (* ---- JSON helpers ---- *)
 
 let str k j = Option.bind (Json.member k j) Json.to_str
 let int k j = Option.bind (Json.member k j) Json.to_int
 let num k j = Option.bind (Json.member k j) Json.to_float
-let arr k j = Option.bind (Json.member k j) Json.to_list
-
-let floats k j =
-  Option.map (List.filter_map Json.to_float) (arr k j)
 
 (* Entries of an array section keyed by a name field. *)
 let keyed ~key ~section j =
@@ -65,20 +63,14 @@ let keyed ~key ~section j =
       (fun e -> Option.map (fun name -> (name, e)) (str key e))
       entries
 
-let mean = function
-  | [] -> 0.0
-  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
 (* ---- document loading ---- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+let read path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> die_unreadable msg
 
-let load_doc ~role path =
-  match Json.of_string (read_file path) with
+let load_doc ~role path contents =
+  match Json.of_string contents with
   | Error msg ->
     fail "%s %s: not valid JSON: %s" role path msg;
     None
@@ -93,7 +85,10 @@ let load_doc ~role path =
       None)
 
 let resolve_baseline path =
-  if Sys.is_directory path then begin
+  match Sys.is_directory path with
+  | exception Sys_error msg -> die_unreadable msg
+  | false -> Some path
+  | true -> (
     let entries =
       Sys.readdir path |> Array.to_list
       |> List.filter (fun f ->
@@ -106,205 +101,30 @@ let resolve_baseline path =
     | [] ->
       fail "baseline directory %s holds no BENCH_*.json" path;
       None
-    | latest :: _ -> Some (Filename.concat path latest)
-  end
-  else Some path
+    | latest :: _ -> Some (Filename.concat path latest))
 
-(* ---- rank invariants on the fresh document ---- *)
+(* ---- win conditions on the fresh document ---- *)
 
-(* Every recovery strategy must keep at least the fail-stop baseline's
-   certain-set recall at every availability level — the point of the
-   paper's degraded-answer semantics. *)
-let check_fault_ranks fresh =
-  match Json.member "fault_sweep" fresh with
-  | None -> skip "fault ranks: fresh document has no fault_sweep section"
-  | Some sweep -> (
-    let series = keyed ~key:"label" ~section:"series" sweep in
-    match List.assoc_opt "fail-stop" series with
-    | None -> skip "fault ranks: no fail-stop series to rank against"
-    | Some baseline ->
-      let base_recalls =
-        Option.value ~default:[] (floats "recalls" baseline)
-      in
-      List.iter
-        (fun (label, ser) ->
-          if label <> "fail-stop" then
-            let recalls = Option.value ~default:[] (floats "recalls" ser) in
-            List.iteri
-              (fun i r ->
-                match List.nth_opt base_recalls i with
-                | Some b when r < b -. 1e-9 ->
-                  fail
-                    "fault ranks: %s recall %.3f below fail-stop %.3f at \
-                     point %d"
-                    label r b i
-                | _ -> ())
-              recalls)
-        series;
-      pass "fault ranks: every strategy dominates fail-stop recall")
+(* The id's first word names the rank line: "x-sweep" reports as
+   "x ranks". *)
+let rank_label (spec : Sweep.t) =
+  match String.index_opt spec.Sweep.id '-' with
+  | Some i -> String.sub spec.Sweep.id 0 i
+  | None -> spec.Sweep.id
 
-(* Warm caches must not end slower than the cold-cache starting point. *)
-let check_serve_ranks fresh =
-  match Json.member "serve_sweep" fresh with
-  | None -> skip "serve ranks: fresh document has no serve_sweep section"
-  | Some sweep ->
-    List.iter
-      (fun (label, ser) ->
-        match floats "speedups" ser with
-        | Some (first :: _ as speedups) ->
-          let last = List.nth speedups (List.length speedups - 1) in
-          if last < first -. 1e-9 then
-            fail "serve ranks: %s speedup fell from %.3f to %.3f across the \
-                  cache sweep"
-              label first last
-        | _ -> ())
-      (keyed ~key:"label" ~section:"series" sweep);
-    pass "serve ranks: warm-cache speedups never end below cold start"
-
-(* The optimizer's win condition, restated so a gate run over any pair of
-   documents enforces it even if the validator's schema rank did not. *)
-let check_auto_ranks fresh =
-  match Json.member "auto_sweep" fresh with
-  | None -> skip "auto ranks: fresh document has no auto_sweep section"
-  | Some sweep -> (
-    match (num "auto_makespan_s" sweep, arr "fixed" sweep) with
-    | Some auto, Some fixed ->
-      let best =
-        List.fold_left
-          (fun acc f ->
-            match num "makespan_s" f with
-            | Some m -> Float.min acc m
-            | None -> acc)
-          Float.infinity fixed
-      in
-      if auto > best *. (1.0 +. 1e-9) then
-        fail "auto ranks: AUTO makespan %g s exceeds best fixed %g s" auto
-          best
-      else pass "auto ranks: AUTO makespan %g s <= best fixed %g s" auto best
-    | _ -> skip "auto ranks: auto_sweep section incomplete")
-
-(* The serving engine's robustness win condition, restated so a gate run
-   over any pair of documents enforces it even if the validator's schema
-   rank did not: the naive unbounded baseline's p99 grows monotonically
-   with load and blows past twice the at-capacity p99, while rejecting
-   shed policies keep admitted p99 within that bound at every overloaded
-   point (degrade admits everything and is exempt). *)
-let overload_points sweep =
-  match arr "points" sweep with
-  | None -> []
-  | Some pts ->
-    List.filter_map
-      (fun p ->
-        match (str "policy" p, num "multiplier" p, num "p99_ms" p) with
-        | Some policy, Some m, Some p99 -> Some (policy, m, p99)
-        | _ -> None)
-      pts
-
-let check_overload_ranks fresh =
-  match Json.member "overload_sweep" fresh with
-  | None -> skip "overload ranks: fresh document has no overload_sweep section"
-  | Some sweep -> (
-    match num "cap_p99_ms" sweep with
-    | None -> skip "overload ranks: overload_sweep section incomplete"
-    | Some cap ->
-      let points = overload_points sweep in
-      let row policy =
-        List.sort
-          (fun (_, a, _) (_, b, _) -> Float.compare a b)
-          (List.filter (fun (p, _, _) -> String.equal p policy) points)
-      in
-      (match row "naive" with
-      | [] -> skip "overload ranks: no naive baseline row to rank against"
-      | naive ->
-        ignore
-          (List.fold_left
-             (fun prev (_, m, p99) ->
-               if p99 +. 1e-9 < prev then
-                 fail "overload ranks: naive p99 %.2f ms drops at x%g" p99 m;
-               p99)
-             0.0 naive);
-        let _, _, worst = List.nth naive (List.length naive - 1) in
-        if worst <= 2.0 *. cap then
-          fail
-            "overload ranks: naive p99 %.2f ms never exceeds twice the \
-             at-capacity p99 %.2f ms"
-            worst cap);
-      List.iter
-        (fun policy ->
-          List.iter
-            (fun (_, m, p99) ->
-              if m >= 2.0 && p99 > 2.0 *. cap *. (1.0 +. 1e-9) then
-                fail
-                  "overload ranks: %s p99 %.2f ms at x%g exceeds twice the \
-                   at-capacity p99 %.2f ms"
-                  policy p99 m cap)
-            (row policy))
-        [ "reject-newest"; "reject-oldest" ];
-      pass
-        "overload ranks: rejecting policies hold the 2x tail bound the \
-         naive baseline breaks")
-
-(* The gray-failure tolerance win condition, restated so a gate run over
-   any pair of documents enforces it even if the validator's schema rank
-   did not: on every (kind, severity) cell the adaptive-timeout arm
-   demotes no more rows than the static arm, and on the slowdown cells it
-   cuts mean response by at least the sweep's pinned margin. *)
-let gray_points sweep =
-  match arr "points" sweep with
-  | None -> []
-  | Some pts ->
-    List.filter_map
-      (fun p ->
-        match
-          ( str "policy" p,
-            str "kind" p,
-            str "severity" p,
-            int "demoted_rows" p,
-            num "mean_ms" p )
-        with
-        | Some policy, Some kind, Some sev, Some demoted, Some mean ->
-          Some (policy, kind, sev, demoted, mean)
-        | _ -> None)
-      pts
-
-let check_gray_ranks fresh =
-  match Json.member "gray_sweep" fresh with
-  | None -> skip "gray ranks: fresh document has no gray_sweep section"
-  | Some sweep ->
-    let points = gray_points sweep in
-    let cell policy kind sev =
-      List.find_opt
-        (fun (p, k, s, _, _) ->
-          String.equal p policy && String.equal k kind && String.equal s sev)
-        points
-    in
-    let margin = Msdq_exp.Gray_sweep.response_margin in
-    let cells =
-      List.concat_map
-        (fun k -> List.map (fun s -> (k, s)) [ "mild"; "severe" ])
-        [ "slowdown"; "jitter"; "flap"; "oneway" ]
-    in
-    List.iter
-      (fun (kind, sev) ->
-        match (cell "static" kind sev, cell "adaptive" kind sev) with
-        | Some (_, _, _, sd, sm), Some (_, _, _, ad, am) ->
-          if ad > sd then
-            fail
-              "gray ranks: adaptive demotes %d rows on %s/%s, static only %d"
-              ad kind sev sd;
-          if
-            String.equal kind "slowdown"
-            && am > sm *. (1.0 -. margin) +. 1e-9
-          then
-            fail
-              "gray ranks: adaptive mean %.2f ms on slowdown/%s is not \
-               %.0f%% under the static %.2f ms"
-              am sev (100.0 *. margin) sm
-        | _ -> fail "gray ranks: %s/%s cell is missing an arm" kind sev)
-      cells;
-    pass
-      "gray ranks: adaptive demotes no more than static everywhere and \
-       wins the slowdown cells"
+let check_win fresh (spec : Sweep.t) =
+  match spec.Sweep.win with
+  | None -> ()
+  | Some win -> (
+    let label = rank_label spec in
+    match Json.member spec.Sweep.section fresh with
+    | None ->
+      skip "%s ranks: fresh document has no %s section" label
+        spec.Sweep.section
+    | Some section -> (
+      match win section with
+      | Ok summary -> pass "%s ranks: %s" label summary
+      | Error msg -> fail "%s ranks: %s" label msg))
 
 (* The columnar engine's acceptance bar (the /10 section): the same-process
    speedup of columnar over boxed local evaluation must hold >= 5x, and the
@@ -336,192 +156,77 @@ let check_microbench_ranks fresh =
 
 (* ---- regression comparisons against the baseline ---- *)
 
-(* Lower-is-better metric: fresh must stay within (1 + tolerance) of the
-   baseline. *)
-let check_time ~tolerance ~what ~baseline ~fresh =
-  if fresh > baseline *. (1.0 +. tolerance) +. 1e-12 then
-    fail "%s: %g regressed beyond %g x (1 + %.2f)" what fresh baseline
-      tolerance
-
-(* Higher-is-better metric: fresh must stay above baseline / (1 + tol). *)
-let check_rate ~tolerance ~what ~baseline ~fresh =
-  if fresh < baseline /. (1.0 +. tolerance) -. 1e-12 then
-    fail "%s: %g dropped beyond %g / (1 + %.2f)" what fresh baseline tolerance
-
-let compare_strategies ~tolerance ~base ~fresh =
-  let base_entries = keyed ~key:"name" ~section:"strategies" base in
+(* Every fresh measure against the baseline measure of the same name. A
+   relative bound needs a positive baseline, so a zero baseline time is
+   not compared. *)
+let compare_measures ~tolerance ~what ~summary ~base ~fresh =
   List.iter
-    (fun (name, f) ->
-      match List.assoc_opt name base_entries with
-      | None -> skip "strategies %s: not in baseline" name
-      | Some b ->
-        List.iter
-          (fun field ->
-            match (num field b, num field f) with
-            | Some baseline, Some fresh ->
-              check_time ~tolerance
-                ~what:(Printf.sprintf "strategies %s %s" name field)
-                ~baseline ~fresh
-            | _ -> ())
-          [ "total_s"; "response_s" ])
-    (keyed ~key:"name" ~section:"strategies" fresh);
-  pass "strategies: per-strategy demo times within tolerance"
+    (fun (f : Bench_doc.measure) ->
+      let name = Printf.sprintf "%s %s" what f.Bench_doc.name in
+      match
+        List.find_opt
+          (fun (b : Bench_doc.measure) ->
+            String.equal b.Bench_doc.name f.Bench_doc.name)
+          base
+      with
+      | None -> skip "%s: not in baseline" name
+      | Some b -> (
+        let baseline = b.Bench_doc.value and fresh = f.Bench_doc.value in
+        match f.Bench_doc.better with
+        | Bench_doc.Lower ->
+          if baseline > 0.0 && fresh > (baseline *. (1.0 +. tolerance)) +. 1e-12
+          then
+            fail "%s: %g regressed beyond %g x (1 + %.2f)" name fresh baseline
+              tolerance
+        | Bench_doc.Higher ->
+          if fresh < (baseline /. (1.0 +. tolerance)) -. 1e-12 then
+            fail "%s: %g dropped beyond %g / (1 + %.2f)" name fresh baseline
+              tolerance
+        | Bench_doc.Rate ->
+          if fresh < baseline -. tolerance then
+            fail "%s: fell from %.2f to %.2f" name baseline fresh))
+    fresh;
+  pass "%s: %s within tolerance" what summary
 
-let compare_latency ~tolerance ~base ~fresh =
-  match (Json.member "latency" base, Json.member "latency" fresh) with
-  | Some _, Some _ ->
-    let base_entries = keyed ~key:"name" ~section:"latency" base in
-    List.iter
-      (fun (name, f) ->
-        match List.assoc_opt name base_entries with
-        | None -> skip "latency %s: not in baseline" name
-        | Some b ->
-          List.iter
-            (fun field ->
-              match (num field b, num field f) with
-              | Some baseline, Some fresh when baseline > 0.0 ->
-                check_time ~tolerance
-                  ~what:(Printf.sprintf "latency %s %s" name field)
-                  ~baseline ~fresh
-              | _ -> ())
-            [ "p50_us"; "p99_us" ])
-      (keyed ~key:"name" ~section:"latency" fresh);
-    pass "latency: per-strategy quantiles within tolerance"
-  | _ -> skip "latency: section missing from baseline or fresh document"
-
-(* A sweep section is only comparable when both documents drew it from the
-   same seed and sample count. *)
-let comparable ~section ~fields ~base ~fresh =
-  match (Json.member section base, Json.member section fresh) with
-  | None, _ -> Error (section ^ ": baseline predates this section")
-  | _, None -> Error (section ^ ": missing from the fresh document")
-  | Some b, Some f ->
-    let mismatches =
+(* One time measure per (entry, field) of an array section keyed by name. *)
+let entry_times ~section ~fields doc =
+  List.concat_map
+    (fun (name, entry) ->
       List.filter_map
         (fun field ->
-          match (int field b, int field f) with
-          | Some x, Some y when x = y -> None
-          | Some x, Some y ->
-            Some (Printf.sprintf "%s %d vs %d" field x y)
-          | _ -> Some (field ^ " missing"))
-        fields
-    in
-    if mismatches = [] then Ok (b, f)
-    else Error (section ^ ": " ^ String.concat ", " mismatches)
+          Option.map
+            (fun value ->
+              {
+                Bench_doc.name = name ^ " " ^ field;
+                value;
+                better = Bench_doc.Lower;
+              })
+            (num field entry))
+        fields)
+    (keyed ~key:"name" ~section doc)
 
-let compare_sweep_responses ~tolerance ~section ~base ~fresh =
-  match comparable ~section ~fields:[ "seed"; "samples" ] ~base ~fresh with
-  | Error reason -> skip "%s" reason
-  | Ok (b, f) ->
-    let base_series = keyed ~key:"label" ~section:"series" b in
-    List.iter
-      (fun (label, ser) ->
-        match List.assoc_opt label base_series with
-        | None -> skip "%s %s: not in baseline" section label
-        | Some bser -> (
-          match (floats "responses_s" bser, floats "responses_s" ser) with
-          | Some bs, Some fs when bs <> [] ->
-            check_time ~tolerance
-              ~what:(Printf.sprintf "%s %s mean response" section label)
-              ~baseline:(mean bs) ~fresh:(mean fs)
-          | _ -> ()))
-      (keyed ~key:"label" ~section:"series" f);
-    pass "%s: mean responses within tolerance" section
-
-let compare_serve_sweep ~tolerance ~base ~fresh =
-  match
-    comparable ~section:"serve_sweep"
-      ~fields:[ "seed"; "samples"; "queries" ]
-      ~base ~fresh
-  with
-  | Error reason -> skip "%s" reason
-  | Ok (b, f) ->
-    let base_series = keyed ~key:"label" ~section:"series" b in
-    List.iter
-      (fun (label, ser) ->
-        match List.assoc_opt label base_series with
-        | None -> skip "serve_sweep %s: not in baseline" label
-        | Some bser -> (
-          match (floats "throughputs" bser, floats "throughputs" ser) with
-          | Some bs, Some fs when bs <> [] ->
-            check_rate ~tolerance
-              ~what:(Printf.sprintf "serve_sweep %s mean throughput" label)
-              ~baseline:(mean bs) ~fresh:(mean fs)
-          | _ -> ()))
-      (keyed ~key:"label" ~section:"series" f);
-    pass "serve_sweep: mean throughputs within tolerance"
-
-let compare_auto_sweep ~tolerance ~base ~fresh =
-  match
-    comparable ~section:"auto_sweep"
-      ~fields:[ "seed"; "queries"; "distinct" ]
-      ~base ~fresh
-  with
-  | Error reason -> skip "%s" reason
-  | Ok (b, f) ->
-    (match (num "auto_makespan_s" b, num "auto_makespan_s" f) with
-    | Some baseline, Some fresh ->
-      check_time ~tolerance ~what:"auto_sweep AUTO makespan" ~baseline ~fresh
-    | _ -> ());
-    (match (num "rank_match_rate" b, num "rank_match_rate" f) with
-    | Some baseline, Some fresh when fresh < baseline -. tolerance ->
-      fail "auto_sweep: rank-match rate fell from %.2f to %.2f" baseline
-        fresh
-    | _ -> ());
-    pass "auto_sweep: AUTO makespan and rank-match rate within tolerance"
-
-let compare_overload_sweep ~tolerance ~base ~fresh =
-  match
-    comparable ~section:"overload_sweep"
-      ~fields:[ "seed"; "queries"; "queue_limit" ]
-      ~base ~fresh
-  with
-  | Error reason -> skip "%s" reason
-  | Ok (b, f) ->
-    (match (num "cap_p99_ms" b, num "cap_p99_ms" f) with
-    | Some baseline, Some fresh when baseline > 0.0 ->
-      check_time ~tolerance ~what:"overload_sweep at-capacity p99" ~baseline
-        ~fresh
-    | _ -> ());
-    let controlled doc =
-      match arr "points" doc with
-      | None -> []
-      | Some pts ->
-        List.filter_map
-          (fun p ->
-            match (str "policy" p, num "goodput_qps" p) with
-            | Some policy, Some g when policy <> "naive" -> Some g
-            | _ -> None)
-          pts
-    in
-    (match (controlled b, controlled f) with
-    | (_ :: _ as bs), (_ :: _ as fs) ->
-      check_rate ~tolerance ~what:"overload_sweep mean controlled goodput"
-        ~baseline:(mean bs) ~fresh:(mean fs)
-    | _ -> ());
-    pass
-      "overload_sweep: at-capacity p99 and controlled goodput within \
-       tolerance"
-
-let compare_gray_sweep ~tolerance ~base ~fresh =
-  match
-    comparable ~section:"gray_sweep" ~fields:[ "seed"; "queries" ] ~base
-      ~fresh
-  with
-  | Error reason -> skip "%s" reason
-  | Ok (b, f) ->
-    let adaptive_means doc =
+(* A sweep section is only comparable when both documents drew it with
+   the same keys. *)
+let compare_sweep ~tolerance ~base ~fresh (spec : Sweep.t) =
+  let section = spec.Sweep.section in
+  match (Json.member section base, Json.member section fresh) with
+  | None, _ -> skip "%s: baseline predates this section" section
+  | _, None -> skip "%s: missing from the fresh document" section
+  | Some b, Some f -> (
+    let mismatches =
       List.filter_map
-        (fun (policy, _, _, _, mean) ->
-          if String.equal policy "adaptive" then Some mean else None)
-        (gray_points doc)
+        (fun key ->
+          match (int key b, int key f) with
+          | Some x, Some y when x = y -> None
+          | Some x, Some y -> Some (Printf.sprintf "%s %d vs %d" key x y)
+          | _ -> Some (key ^ " missing"))
+        spec.Sweep.keys
     in
-    (match (adaptive_means b, adaptive_means f) with
-    | (_ :: _ as bs), (_ :: _ as fs) ->
-      check_time ~tolerance ~what:"gray_sweep mean adaptive response"
-        ~baseline:(mean bs) ~fresh:(mean fs)
-    | _ -> ());
-    pass "gray_sweep: adaptive response within tolerance"
+    match mismatches with
+    | _ :: _ -> skip "%s: %s" section (String.concat ", " mismatches)
+    | [] ->
+      compare_measures ~tolerance ~what:section ~summary:spec.Sweep.summary
+        ~base:(spec.Sweep.measures b) ~fresh:(spec.Sweep.measures f))
 
 (* ---- driver ---- *)
 
@@ -555,25 +260,29 @@ let () =
   (match resolve_baseline !baseline with
   | None -> ()
   | Some base_path -> (
-    let base = load_doc ~role:"baseline" base_path in
-    let fresh = load_doc ~role:"fresh" !fresh in
+    (* read both before reporting on either *)
+    let base_text = read base_path in
+    let fresh_text = read !fresh in
+    let base = load_doc ~role:"baseline" base_path base_text in
+    let fresh = load_doc ~role:"fresh" !fresh fresh_text in
     match (base, fresh) with
     | Some base, Some fresh ->
-      check_fault_ranks fresh;
-      check_serve_ranks fresh;
-      check_auto_ranks fresh;
-      check_overload_ranks fresh;
-      check_gray_ranks fresh;
+      List.iter (check_win fresh) Sweep.registry;
       check_microbench_ranks fresh;
-      compare_strategies ~tolerance ~base ~fresh;
-      compare_latency ~tolerance ~base ~fresh;
-      compare_sweep_responses ~tolerance ~section:"fault_sweep" ~base ~fresh;
-      compare_sweep_responses ~tolerance ~section:"recovery_sweep" ~base
-        ~fresh;
-      compare_serve_sweep ~tolerance ~base ~fresh;
-      compare_auto_sweep ~tolerance ~base ~fresh;
-      compare_overload_sweep ~tolerance ~base ~fresh;
-      compare_gray_sweep ~tolerance ~base ~fresh
+      compare_measures ~tolerance ~what:"strategies"
+        ~summary:"per-strategy demo times"
+        ~base:
+          (entry_times ~section:"strategies" ~fields:[ "total_s"; "response_s" ]
+             base)
+        ~fresh:
+          (entry_times ~section:"strategies" ~fields:[ "total_s"; "response_s" ]
+             fresh);
+      compare_measures ~tolerance ~what:"latency"
+        ~summary:"per-strategy quantiles"
+        ~base:(entry_times ~section:"latency" ~fields:[ "p50_us"; "p99_us" ] base)
+        ~fresh:
+          (entry_times ~section:"latency" ~fields:[ "p50_us"; "p99_us" ] fresh);
+      List.iter (compare_sweep ~tolerance ~base ~fresh) Sweep.registry
     | _ -> ()));
   if !failed then begin
     Format.printf "@.bench gate: FAILED@.";
