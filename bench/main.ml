@@ -282,7 +282,8 @@ let straggler_study () =
 (* simulated system; mean latency under load separates the strategies    *)
 (* further than single-query response time does.                         *)
 
-(* The synthetic federation and four-query mix both serve studies share. *)
+(* The synthetic federation both serve studies share, and its stream of 8
+   queries cycling over four shapes, [interval_ms] apart. *)
 let serve_workload () =
   let cfg =
     {
@@ -310,7 +311,16 @@ let serve_workload () =
           (Parser.parse q))
       queries
   in
-  (fed, analyses)
+  let jobs strategy ~interval_ms =
+    List.init 8 (fun i ->
+        {
+          Msdq_serve.Serve.strategy;
+          analysis = List.nth analyses (i mod List.length analyses);
+          arrival = Msdq_simkit.Time.ms (float_of_int i *. interval_ms);
+          deadline = None;
+        })
+  in
+  (fed, jobs)
 
 let throughput_study () =
   let module Serve = Msdq_serve.Serve in
@@ -318,22 +328,13 @@ let throughput_study () =
   Format.printf "Multi-query workloads (extension): 8 queries arrive at a@.";
   Format.printf "fixed interval; all share the simulated sites, so they queue@.";
   Format.printf "on disks, CPUs and the global site's incoming link.@.@.";
-  let fed, analyses = serve_workload () in
+  let fed, jobs = serve_workload () in
   Format.printf "%-6s %-14s %14s %14s %14s@." "strat" "interval" "mean latency"
     "max latency" "makespan";
   List.iter
     (fun strategy ->
       List.iter
         (fun interval_ms ->
-          let jobs =
-            List.init 8 (fun i ->
-                {
-                  Serve.strategy;
-                  analysis = List.nth analyses (i mod List.length analyses);
-                  arrival = Msdq_simkit.Time.ms (float_of_int i *. interval_ms);
-                  deadline = None;
-                })
-          in
           (* caches, batching window and framing off: the plain shared
              engine *)
           let out =
@@ -344,7 +345,7 @@ let throughput_study () =
                 window = Msdq_simkit.Time.zero;
                 msg_header_bytes = 0;
               }
-              fed jobs
+              fed (jobs strategy ~interval_ms)
           in
           let latencies =
             List.map
@@ -398,7 +399,7 @@ let latency_study () =
      workload engine with telemetry histograms enabled; per-strategy@.\
      p50/p90/p99/max of query latency (arrival to answer).@.@.";
   let module Serve = Msdq_serve.Serve in
-  let fed, analyses = serve_workload () in
+  let fed, jobs = serve_workload () in
   let scfg =
     {
       Serve.default_config with
@@ -407,34 +408,22 @@ let latency_study () =
     }
   in
   Format.printf "%-6s %10s %10s %10s %10s@." "strat" "p50" "p90" "p99" "max";
-  let summaries =
-    List.map
-      (fun strategy ->
-        let jobs =
-          List.init 8 (fun i ->
-              {
-                Serve.strategy;
-                analysis = List.nth analyses (i mod List.length analyses);
-                arrival = Msdq_simkit.Time.ms (float_of_int i *. 50.0);
-                deadline = None;
-              })
-        in
-        let out = Serve.run scfg fed jobs in
-        let lats =
-          List.map
-            (fun (r : Serve.query_report) ->
-              Msdq_simkit.Time.to_us r.Serve.latency)
-            out.Serve.reports
-        in
-        let s = Msdq_simkit.Stats.summarize lats in
-        Format.printf "%-6s %8.0fus %8.0fus %8.0fus %8.0fus@."
-          (Strategy.to_string strategy) s.Msdq_simkit.Stats.p50_us
-          s.Msdq_simkit.Stats.p90_us s.Msdq_simkit.Stats.p99_us
-          s.Msdq_simkit.Stats.max_us;
-        (Strategy.to_string strategy, s))
-      [ Strategy.Ca; Strategy.Bl; Strategy.Pl ]
-  in
-  summaries
+  List.map
+    (fun strategy ->
+      let out = Serve.run scfg fed (jobs strategy ~interval_ms:50.0) in
+      let lats =
+        List.map
+          (fun (r : Serve.query_report) ->
+            Msdq_simkit.Time.to_us r.Serve.latency)
+          out.Serve.reports
+      in
+      let s = Msdq_simkit.Stats.summarize lats in
+      Format.printf "%-6s %8.0fus %8.0fus %8.0fus %8.0fus@."
+        (Strategy.to_string strategy) s.Msdq_simkit.Stats.p50_us
+        s.Msdq_simkit.Stats.p90_us s.Msdq_simkit.Stats.p99_us
+        s.Msdq_simkit.Stats.max_us;
+      (Strategy.to_string strategy, s))
+    [ Strategy.Ca; Strategy.Bl; Strategy.Pl ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-strategy simulated times on the demo workload, for the JSON file. *)

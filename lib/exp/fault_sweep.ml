@@ -31,35 +31,6 @@ type sweep = {
 let strategies = [ Strategy.Ca; Strategy.Bl; Strategy.Pl ]
 let availabilities = [| 0.7; 0.8; 0.9; 0.95; 1.0 |]
 
-(* A random concrete case: a synthetic federation plus a query that analyzes
-   against its global schema. A random path may name an attribute no
-   constituent kept; retry with fresh draws, like the equivalence suite. *)
-let rec make_case seed attempt =
-  if attempt > 20 then None
-  else
-    (* Denser than [Synth.default]: every database hosts every class and a
-       quarter of the attributes are missing, so local evaluation leaves
-       real maybe sets and the strategies actually exercise checks,
-       shipping and certification — the machinery faults can hurt. *)
-    let cfg =
-      {
-        Synth.default with
-        Synth.seed = (seed * 37) + attempt;
-        n_entities = 60;
-        p_host = 1.0;
-        p_attr_present = 0.75;
-        p_null = 0.12;
-        p_copy = 0.4;
-      }
-    in
-    let fed = Synth.generate cfg in
-    let rng = Rng.create ~seed:(seed + (attempt * 1013)) in
-    let query = Synth.random_query rng cfg ~disjunctive:false in
-    let schema = Global_schema.schema (Federation.global_schema fed) in
-    match Analysis.analyze schema query with
-    | analysis -> Some (fed, analysis)
-    | exception Analysis.Error _ -> make_case seed (attempt + 1)
-
 (* Certain-set recall of a degraded run against its fault-free reference:
    the fraction of fault-free certain results the faulty run still
    certifies. An empty reference certain set recalls trivially. *)
@@ -80,11 +51,6 @@ type point_result = {
   p_hard_response : float;
   p_hard_recall : float;
 }
-
-(* Sample [si]'s case: its own rng stream, so samples are
-   order-independent. *)
-let case_of ~seed ~si =
-  make_case (Rng.int (Rng.split_ix (Rng.create ~seed) ~i:si) ~bound:100_000) 0
 
 (* The fault-free reference run of every strategy, the fault horizon
    (twice the slowest reference response) and the component sites. *)
@@ -113,7 +79,7 @@ let with_global_link ~drop ~inflate sched =
   { sched with Fault.links = { Fault.dst = 0; drop; inflate; jitter = 0.0 } :: sched.Fault.links }
 
 let point ~seed ~cost ~drop ~inflate ~idx ~si ~availability =
-  match case_of ~seed ~si with
+  match Grid.sample_case ~seed ~si with
   | None ->
     (* no analyzable query for this stream: a vacuous, neutral sample *)
     {
@@ -163,10 +129,8 @@ let point ~seed ~cost ~drop ~inflate ~idx ~si ~availability =
     in
     { p_responses; p_recalls; p_hard_response = p_responses.(1); p_hard_recall }
 
-(* Runs [point] over the (availability, sample) grid — on [pool] when it
-   has workers, merging in index order — reporting progress under [id]
-   and counting the points into [counter]. Returns [column f]: the
-   per-availability mean of [f] over the samples. *)
+(* Runs [point] over the (availability, sample) grid and returns
+   [column f]: the per-availability mean of [f] over the samples. *)
 let run_grid ?pool ?registry ?progress ~id ~counter ~samples point =
   let xs = availabilities in
   let nx = Array.length xs in
@@ -379,7 +343,7 @@ type rpoint_result = {
 
 let rpoint ~seed ~cost ~drop ~inflate ~idx ~si ~availability =
   let n_cells = List.length strategies * List.length rmodes in
-  match case_of ~seed ~si with
+  match Grid.sample_case ~seed ~si with
   | None ->
     {
       rp_responses = Array.make n_cells 0.0;

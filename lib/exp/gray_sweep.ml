@@ -2,7 +2,6 @@ open Msdq_simkit
 open Msdq_fed
 open Msdq_query
 open Msdq_exec
-open Msdq_workload
 open Msdq_serve
 module Json = Msdq_obs.Json
 module Metrics = Msdq_obs.Metrics
@@ -71,48 +70,25 @@ let response_margin = 0.05
    exactly the same legs. *)
 let static_timeout_us = 100_000.0
 
-(* Same dense single-case generation as the serve/overload sweeps: every
-   database hosts every class and a quarter of the attributes are missing,
-   so BL issues real check round trips — the legs gray faults degrade. *)
-let rec make_case seed attempt =
-  if attempt > 20 then None
-  else
-    let cfg =
-      {
-        Synth.default with
-        Synth.seed = (seed * 37) + attempt;
-        n_entities = 60;
-        p_host = 1.0;
-        p_attr_present = 0.75;
-        p_null = 0.12;
-        p_copy = 0.4;
-      }
-    in
-    let fed = Synth.generate cfg in
-    let rng = Rng.create ~seed:(seed + (attempt * 1013)) in
-    let query = Synth.random_query rng cfg ~disjunctive:false in
-    let schema = Global_schema.schema (Federation.global_schema fed) in
-    match Analysis.analyze schema query with
-    | analysis ->
-        (* A case whose BL plan issues no check round trips cannot
-           exercise retransmission timeouts at all: probe one fault-free
-           serve and skip the case unless real checks go on the wire. *)
-        let probe =
-          Serve.run
-            { Serve.default_config with cache_bytes = 0; window = Time.zero }
-            fed
-            [
-              {
-                Serve.strategy = Strategy.Bl;
-                analysis;
-                arrival = Time.zero;
-                deadline = None;
-              };
-            ]
-        in
-        if probe.Serve.check_latency <> [] then Some (fed, analysis)
-        else make_case seed (attempt + 1)
-    | exception Analysis.Error _ -> make_case seed (attempt + 1)
+(* The shared dense case ([Grid.case]) makes BL issue real check round
+   trips — the legs gray faults degrade. A case whose BL plan issues no check round trips cannot exercise
+   retransmission timeouts at all: probe one fault-free serve and accept
+   the case only if real checks go on the wire. *)
+let has_checks fed analysis =
+  let probe =
+    Serve.run
+      { Serve.default_config with cache_bytes = 0; window = Time.zero }
+      fed
+      [
+        {
+          Serve.strategy = Strategy.Bl;
+          analysis;
+          arrival = Time.zero;
+          deadline = None;
+        };
+      ]
+  in
+  probe.Serve.check_latency <> []
 
 (* The gray schedule of one (kind, severity) cell: explicit windows over
    the database sites, anchored to the job stream's horizon, plus the
@@ -302,7 +278,7 @@ let point ~cost ~fed ~analysis ~queries ~seed ~policy ~kind ~severity =
 let run ?pool ?registry ?progress ?(queries = 12) ?(seed = 1996)
     ?(cost = Cost.default) () =
   let id = "gray-sweep" in
-  match make_case seed 0 with
+  match Grid.case ~accept:has_checks seed with
   | None -> invalid_arg "Gray_sweep: no analyzable case for this seed"
   | Some (fed, analysis) ->
       let grid =

@@ -1,8 +1,5 @@
 open Msdq_simkit
-open Msdq_fed
-open Msdq_query
 open Msdq_exec
-open Msdq_workload
 open Msdq_serve
 module Json = Msdq_obs.Json
 module Metrics = Msdq_obs.Metrics
@@ -57,28 +54,6 @@ let queue_limit = 2
 (* Same dense single-case generation as the serve sweep: every database
    hosts every class, a quarter of the attributes missing, so BL issues
    real check round trips — the work deadlines abandon. *)
-let rec make_case seed attempt =
-  if attempt > 20 then None
-  else
-    let cfg =
-      {
-        Synth.default with
-        Synth.seed = (seed * 37) + attempt;
-        n_entities = 60;
-        p_host = 1.0;
-        p_attr_present = 0.75;
-        p_null = 0.12;
-        p_copy = 0.4;
-      }
-    in
-    let fed = Synth.generate cfg in
-    let rng = Rng.create ~seed:(seed + (attempt * 1013)) in
-    let query = Synth.random_query rng cfg ~disjunctive:false in
-    let schema = Global_schema.schema (Federation.global_schema fed) in
-    match Analysis.analyze schema query with
-    | analysis -> Some (fed, analysis)
-    | exception Analysis.Error _ -> make_case seed (attempt + 1)
-
 let percentile_ms lats_us p =
   match lats_us with
   | [] -> 0.0
@@ -171,7 +146,7 @@ let policies =
 let run ?pool ?registry ?progress ?(queries = 16) ?(seed = 1996)
     ?(cost = Cost.default) () =
   let id = "overload-sweep" in
-  match make_case seed 0 with
+  match Grid.case seed with
   | None -> invalid_arg "Overload_sweep: no analyzable case for this seed"
   | Some (fed, analysis) ->
       (* Calibrate capacity: the realized solo response of one served BL

@@ -272,9 +272,11 @@ let oldest_bench_version = 6
 let schema_of_version v = Printf.sprintf "msdq-bench/%d" v
 let bench_schema = schema_of_version bench_version
 
-let bench_schemas =
+let bench_versions =
   List.init (bench_version - oldest_bench_version + 1) (fun i ->
-      schema_of_version (oldest_bench_version + i))
+      oldest_bench_version + i)
+
+let bench_schemas = List.map schema_of_version bench_versions
 
 (* The /10 section: columnar-engine throughput. Objects/sec of local
    predicate evaluation and signature filtering in both representations
@@ -396,10 +398,9 @@ let bench_to_json ~generated_at ~seed ~parallel ~sweeps ~latency ~microbench
                wall) );
       ])
 
-open Bench_doc
-
-(* The /2 additions: a seed and the parallel-sweep record. *)
+(* The /2 addition: the parallel-sweep record. *)
 let validate_parallel p =
+  let open Bench_doc in
   let what = "parallel" in
   let* jobs = int ~what "jobs" p in
   let* () = check (jobs >= 1) "parallel jobs must be >= 1" in
@@ -413,6 +414,7 @@ let validate_parallel p =
    non-negative and ordered p50 <= p90 <= p99 <= max whenever any sample
    was taken. *)
 let validate_latency lat =
+  let open Bench_doc in
   let* entries =
     Option.to_result ~none:"\"latency\" must be an array" (Json.to_list lat)
   in
@@ -437,6 +439,7 @@ let validate_latency lat =
    (tools/bench_gate), not the validator's: a document from a noisy machine
    is still well-formed. *)
 let validate_microbench m =
+  let open Bench_doc in
   let what = "microbench" in
   let* objects = int ~what "objects" m in
   let* () = check (objects >= 1) "microbench objects must be >= 1" in
@@ -460,11 +463,13 @@ let validate_microbench m =
   check (rows >= 1) "microbench certify rows must be >= 1"
 
 let validate_document j =
+  let open Bench_doc in
   let* schema = str ~what:"document" "schema" j in
   let* version =
     match
-      List.assoc_opt schema
-        (List.mapi (fun i s -> (s, oldest_bench_version + i)) bench_schemas)
+      List.find_opt
+        (fun v -> String.equal (schema_of_version v) schema)
+        bench_versions
     with
     | Some v -> Ok v
     | None ->

@@ -1,8 +1,5 @@
 open Msdq_simkit
-open Msdq_fed
-open Msdq_query
 open Msdq_exec
-open Msdq_workload
 open Msdq_serve
 module Json = Msdq_obs.Json
 module Metrics = Msdq_obs.Metrics
@@ -39,28 +36,6 @@ let windows_us = [| 0.0; 500.0 |]
 (* Same dense case generation as the fault sweep: every database hosts
    every class, a quarter of the attributes are missing, so the workloads
    actually read extents and issue checks — the work caching can share. *)
-let rec make_case seed attempt =
-  if attempt > 20 then None
-  else
-    let cfg =
-      {
-        Synth.default with
-        Synth.seed = (seed * 37) + attempt;
-        n_entities = 60;
-        p_host = 1.0;
-        p_attr_present = 0.75;
-        p_null = 0.12;
-        p_copy = 0.4;
-      }
-    in
-    let fed = Synth.generate cfg in
-    let rng = Rng.create ~seed:(seed + (attempt * 1013)) in
-    let query = Synth.random_query rng cfg ~disjunctive:false in
-    let schema = Global_schema.schema (Federation.global_schema fed) in
-    match Analysis.analyze schema query with
-    | analysis -> Some (fed, analysis)
-    | exception Analysis.Error _ -> make_case seed (attempt + 1)
-
 type cell = { throughput : float; makespan_s : float; hits_per_query : float }
 
 (* One sample: every (strategy, window, cache) cell over one workload. The
@@ -69,7 +44,7 @@ let point ~seed ~cost ~queries ~si =
   let n_cache = Array.length cache_bytes_grid in
   let n_cells = List.length strategies * Array.length windows_us * n_cache in
   let case =
-    make_case (Rng.int (Rng.split_ix (Rng.create ~seed) ~i:si) ~bound:100_000) 0
+    Grid.sample_case ~seed ~si
   in
   match case with
   | None ->

@@ -396,8 +396,8 @@ let test_bench_validation () =
   reject "wrong schema" (with_schema "msdq-bench/999" good);
   reject "empty strategies" (bench ~strategies:[] ());
   reject "negative time" (bench ~strategies:[ ("BL", -1.0, 0.05) ] ());
-  (* Schemas /1 through /5 are no longer accepted: no committed baseline
-     uses them. The rejection names every accepted id. *)
+  (* Schemas /1 through /5 are rejected: no committed baseline uses them.
+     The rejection names every accepted id. *)
   List.iter
     (fun v ->
       let schema = Printf.sprintf "msdq-bench/%d" v in
@@ -600,9 +600,9 @@ let test_sweep_validation () =
           gray_sweep_section.Gray_sweep.points));
   reject "gray: empty points" (gray [])
 
-(* Gaps the validator used to let through: every number must be a number,
-   fault and recovery responses must be non-negative, and a latency
-   summary's max may not undercut its p99. *)
+(* Every number must be a JSON number, fault and recovery responses must
+   be non-negative, and a latency summary's max may not undercut its
+   p99. *)
 let test_validator_gaps () =
   let poke_series section field v =
     poke ~section ~key:"series" ~field (Json.Arr [ v; Json.Float 1.0 ]) good
