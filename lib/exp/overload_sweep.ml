@@ -51,9 +51,6 @@ let multipliers = [| 0.5; 1.0; 2.0; 3.0 |]
 let deadline_factor = 1.8
 let queue_limit = 2
 
-(* Same dense single-case generation as the serve sweep: every database
-   hosts every class, a quarter of the attributes missing, so BL issues
-   real check round trips — the work deadlines abandon. *)
 let percentile_ms lats_us p =
   match lats_us with
   | [] -> 0.0
@@ -146,6 +143,8 @@ let policies =
 let run ?pool ?registry ?progress ?(queries = 16) ?(seed = 1996)
     ?(cost = Cost.default) () =
   let id = "overload-sweep" in
+  (* the dense [Grid.case] makes BL issue real check round trips — the
+     work deadlines abandon *)
   match Grid.case seed with
   | None -> invalid_arg "Overload_sweep: no analyzable case for this seed"
   | Some (fed, analysis) ->

@@ -33,9 +33,6 @@ let strategies = [ Strategy.Ca; Strategy.Bl; Strategy.Pl ]
 let cache_bytes_grid = [| 0; 16 * 1024; 256 * 1024; 4 * 1024 * 1024 |]
 let windows_us = [| 0.0; 500.0 |]
 
-(* Same dense case generation as the fault sweep: every database hosts
-   every class, a quarter of the attributes are missing, so the workloads
-   actually read extents and issue checks — the work caching can share. *)
 type cell = { throughput : float; makespan_s : float; hits_per_query : float }
 
 (* One sample: every (strategy, window, cache) cell over one workload. The
@@ -43,10 +40,9 @@ type cell = { throughput : float; makespan_s : float; hits_per_query : float }
 let point ~seed ~cost ~queries ~si =
   let n_cache = Array.length cache_bytes_grid in
   let n_cells = List.length strategies * Array.length windows_us * n_cache in
-  let case =
-    Grid.sample_case ~seed ~si
-  in
-  match case with
+  (* the dense [Grid.case] makes the workloads read extents and issue
+     checks — the work caching can share *)
+  match Grid.sample_case ~seed ~si with
   | None ->
       Array.make n_cells { throughput = 0.0; makespan_s = 0.0; hits_per_query = 0.0 }
   | Some (fed, analysis) ->
