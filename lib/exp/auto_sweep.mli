@@ -52,7 +52,9 @@ val run :
 val min_fixed_makespan : outcome -> float
 (** The best fixed strategy's makespan — what AUTO has to beat. *)
 
-(** {2 Reporting and checking} — what {!Sweep.registry} wires together. *)
+(** {2 Reporting and checking}
+
+    What {!Sweep.registry} wires together. *)
 
 val to_json : outcome -> Msdq_obs.Json.t
 (** The bench document's [auto_sweep] section: fixed-strategy makespans,

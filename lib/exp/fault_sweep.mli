@@ -66,7 +66,9 @@ val run :
 val series_of : sweep -> string -> series
 (** Raises [Not_found] when the sweep has no series with that label. *)
 
-(** {2 Reporting and checking} — what {!Sweep.registry} wires together. *)
+(** {2 Reporting and checking}
+
+    What {!Sweep.registry} wires together. *)
 
 val to_json : sweep -> Msdq_obs.Json.t
 (** The bench document's [fault_sweep] section: availability levels plus

@@ -90,7 +90,9 @@ val run :
 val point_of :
   outcome -> policy:string -> kind:string -> severity:string -> point option
 
-(** {2 Reporting and checking} — what {!Sweep.registry} wires together. *)
+(** {2 Reporting and checking}
+
+    What {!Sweep.registry} wires together. *)
 
 val to_json : outcome -> Msdq_obs.Json.t
 (** The bench document's [gray_sweep] section: the

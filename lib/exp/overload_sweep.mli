@@ -85,7 +85,9 @@ val run :
 val points_of : outcome -> string -> point list
 (** The points of one policy row, in multiplier order. *)
 
-(** {2 Reporting and checking} — what {!Sweep.registry} wires together. *)
+(** {2 Reporting and checking}
+
+    What {!Sweep.registry} wires together. *)
 
 val to_json : outcome -> Msdq_obs.Json.t
 (** The bench document's [overload_sweep] section: calibration (solo
