@@ -367,7 +367,7 @@ let throughput_study () =
 (* The registered sweeps (Sweep.registry), each at smoke or full size,   *)
 (* printed with its own table; their sections go into the JSON file.    *)
 
-let sweeps ?pool ~seed ~smoke () =
+let run_sweeps ?pool ~seed ~smoke () =
   List.map
     (fun (spec : Sweep.t) ->
       section spec.Sweep.id;
@@ -799,7 +799,7 @@ let () =
          calibration and a minimal microbench.@.";
       tables ();
       let parallel = calibrate ?pool ~seed:!seed ~samples:40 () in
-      let sweeps = sweeps ?pool ~seed:!seed ~smoke:true () in
+      let sweeps = run_sweeps ?pool ~seed:!seed ~smoke:true () in
       let latency = latency_study () in
       let microbench = microbench_study ~objects:20_000 () in
       let wall = microbenches ~quota:0.05 () in
@@ -815,7 +815,7 @@ let () =
       straggler_study ();
       throughput_study ();
       let parallel = calibrate ?pool ~seed:!seed ~samples:!samples () in
-      let sweeps = sweeps ?pool ~seed:!seed ~smoke:false () in
+      let sweeps = run_sweeps ?pool ~seed:!seed ~smoke:false () in
       let latency = latency_study () in
       let microbench = microbench_study ~objects:200_000 () in
       let wall = microbenches ~quota:0.4 () in

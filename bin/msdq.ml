@@ -3,7 +3,7 @@
    Subcommands:
      demo        the paper's running example (DB1/DB2/DB3, query Q1)
      query       run a SQL/X query against the demo or a synthetic federation
-     experiment  regenerate the paper's figures with the parametric simulator
+     experiment  regenerate the paper's figures, or run one registered sweep
      serve       run a multi-query workload through the caching/batching engine
      metrics     expose a telemetry-enabled workload as OpenMetrics text
      params      print the Table 1 / Table 2 settings
@@ -461,7 +461,9 @@ let experiment_cmd =
     Arg.(
       value
       & opt (some dir) None
-      & info [ "csv" ] ~docv:"DIR" ~doc:"Also write one CSV per figure into DIR.")
+      & info [ "csv" ] ~docv:"DIR" ~doc:
+            "Also write one CSV per figure (or per sweep that has one) into \
+             DIR.")
   in
   let chart =
     Arg.(value & flag & info [ "chart" ] ~doc:"Print rough ASCII charts.")
@@ -481,7 +483,9 @@ let experiment_cmd =
   in
   Cmd.v
     (Cmd.info "experiment"
-       ~doc:"Regenerate the paper's figures with the parametric simulator.")
+       ~doc:
+         "Regenerate the paper's figures with the parametric simulator, or \
+          run one registered sweep on the concrete executors.")
     term
 
 (* ---- serve ---- *)
