@@ -187,11 +187,6 @@ let run ?pool ?registry ?progress ?(samples = 12) ?(seed = 1996)
     series = strategy_series @ [ hard ];
   }
 
-let series_of sweep label =
-  match List.find_opt (fun s -> String.equal s.label label) sweep.series with
-  | Some s -> s
-  | None -> raise Not_found
-
 let floats_json a = Json.Arr (Array.to_list (Array.map (fun x -> Json.Float x) a))
 
 let to_json s =
@@ -421,13 +416,6 @@ let run_recovery ?pool ?registry ?progress ?(samples = 12) ?(seed = 2024)
     rseed = seed;
     rseries;
   }
-
-let rseries_of sweep label =
-  match
-    List.find_opt (fun s -> String.equal s.r_label label) sweep.rseries
-  with
-  | Some s -> s
-  | None -> raise Not_found
 
 let recovery_to_json s =
   Json.Obj

@@ -63,9 +63,6 @@ val run :
     every schedule is {!Msdq_fault.Fault.none} whatever the link knobs, so
     that column doubles as the fault-free anchor: recall 1 everywhere. *)
 
-val series_of : sweep -> string -> series
-(** Raises [Not_found] when the sweep has no series with that label. *)
-
 (** {2 Reporting and checking}
 
     What {!Sweep.registry} wires together. *)
@@ -147,9 +144,6 @@ val run_recovery :
     [drop] 0.2) — so that column isolates what failover buys against pure
     message loss. Deterministic for any [?pool] worker count, like
     {!run}. *)
-
-val rseries_of : recovery_sweep -> string -> rseries
-(** Raises [Not_found] when the sweep has no series with that label. *)
 
 val recovery_to_json : recovery_sweep -> Msdq_obs.Json.t
 (** The [recovery_sweep] section: availability levels plus one

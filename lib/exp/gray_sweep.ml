@@ -320,14 +320,6 @@ let run ?pool ?registry ?progress ?(queries = 12) ?(seed = 1996)
         points;
       }
 
-let point_of outcome ~policy ~kind ~severity =
-  List.find_opt
-    (fun p ->
-      String.equal p.pt_policy policy
-      && String.equal p.pt_kind kind
-      && String.equal p.pt_severity severity)
-    outcome.points
-
 let to_json g =
   let strs l = Json.Arr (List.map (fun x -> Json.Str x) l) in
   Json.Obj

@@ -87,9 +87,6 @@ val run :
     parallelizes cells without changing the outcome. Raises
     [Invalid_argument] if the seed yields no analyzable query. *)
 
-val point_of :
-  outcome -> policy:string -> kind:string -> severity:string -> point option
-
 (** {2 Reporting and checking}
 
     What {!Sweep.registry} wires together. *)

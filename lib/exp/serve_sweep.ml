@@ -156,9 +156,6 @@ let run ?pool ?registry ?progress ?(samples = 4) ?(queries = 6) ?(seed = 1996)
     series;
   }
 
-let series_of sweep label =
-  List.find (fun s -> String.equal s.label label) sweep.series
-
 let to_json s =
   let floats a = Json.Arr (Array.to_list (Array.map (fun x -> Json.Float x) a)) in
   Json.Obj

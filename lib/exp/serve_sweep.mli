@@ -58,9 +58,6 @@ val run :
     the repetition is what cross-query caching exploits. Parallelizes over
     samples when [pool] has more than one worker. *)
 
-val series_of : sweep -> string -> series
-(** Raises [Not_found] when the sweep has no series with that label. *)
-
 (** {2 Reporting and checking}
 
     What {!Sweep.registry} wires together. *)
