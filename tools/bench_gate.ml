@@ -184,7 +184,8 @@ let compare_measures ~tolerance ~what ~summary ~base ~fresh =
               tolerance
         | Bench_doc.Rate ->
           if fresh < baseline -. tolerance then
-            fail "%s: fell from %.2f to %.2f" name baseline fresh))
+            fail "%s: %s fell from %.2f to %.2f" what f.Bench_doc.name
+              baseline fresh))
     fresh;
   pass "%s: %s within tolerance" what summary
 
