@@ -1,5 +1,5 @@
-(* Byte-for-byte pins of the sweep command line and of the bench gate, plus
-   the bench tools' handling of missing inputs.
+(* Byte-for-byte pins of the sweep and serve command lines and of the bench
+   gate, plus the bench tools' handling of missing inputs.
 
    Every registered sweep runs as [msdq experiment <id>] at two samples,
    seed 1996, on one worker, in text and in --json form; the output must
@@ -13,7 +13,14 @@
    repo root:
      dune exec bin/msdq.exe -- experiment fault-sweep --samples 2 \
        --seed 1996 --jobs 1 [--json] > test/golden/sweeps/fault-sweep.txt
-   and likewise for the gate. Review the diff before committing. *)
+   and likewise for the gate. Review the diff before committing.
+
+   Four [msdq serve --queries 6] runs (see [serve_cases]) are pinned the
+   same way in test/golden/serve/<case>.{txt,json}; the gray run's
+   --trace-out Chrome trace is pinned as test/golden/serve/gray.trace.json.
+   Regenerate with, e.g.:
+     dune exec bin/msdq.exe -- serve --queries 6 --strategy auto --json \
+       > test/golden/serve/auto.json *)
 
 let root = Filename.dirname (Filename.dirname Sys.executable_name)
 let msdq_exe = Filename.concat root "bin/msdq.exe"
@@ -34,21 +41,52 @@ let stdout_of ~what build =
   if rc <> 0 then Alcotest.failf "%s exited %d" what rc;
   out
 
-let test_sweep id () =
-  let args =
-    [ "experiment"; id; "--samples"; "2"; "--seed"; "1996"; "--jobs"; "1" ]
-  in
+let msdq args =
+  stdout_of
+    ~what:(String.concat " " ("msdq" :: args))
+    (fun tmp -> Filename.quote_command msdq_exe ~stdout:tmp args)
+
+(* [msdq args] and [msdq args --json] must print [dir/name.txt] and
+   [dir/name.json]. *)
+let test_text_and_json ~dir name args () =
   List.iter
     (fun (ext, extra) ->
-      let args = args @ extra in
-      let got =
-        stdout_of
-          ~what:(String.concat " " ("msdq" :: args))
-          (fun tmp -> Filename.quote_command msdq_exe ~stdout:tmp args)
-      in
       Alcotest.(check string)
-        (id ^ ext) (read_file ("golden/sweeps/" ^ id ^ ext)) got)
+        (name ^ ext)
+        (read_file (Printf.sprintf "golden/%s/%s%s" dir name ext))
+        (msdq (args @ extra)))
     [ (".txt", []); (".json", [ "--json" ]) ]
+
+let test_sweep id =
+  test_text_and_json ~dir:"sweeps" id
+    [ "experiment"; id; "--samples"; "2"; "--seed"; "1996"; "--jobs"; "1" ]
+
+let serve_cases =
+  [
+    ("bl-cache-window", [ "--strategy"; "BL"; "--cache-mb"; "4"; "--window"; "500" ]);
+    ("auto", [ "--strategy"; "auto" ]);
+    ( "overload",
+      [
+        "--arrival"; "200"; "--deadline"; "40"; "--queue-limit"; "1";
+        "--shed-policy"; "reject-oldest";
+      ] );
+    ( "gray",
+      [
+        "--strategy"; "auto"; "--adaptive"; "--flap-ms"; "27"; "--drop"; "0.1";
+        "--inflate"; "2";
+      ] );
+  ]
+
+let serve_args args = "serve" :: "--queries" :: "6" :: args
+
+let test_serve_trace () =
+  let trace = Filename.temp_file "msdq_golden" ".trace.json" in
+  ignore
+    (msdq
+       (serve_args (List.assoc "gray" serve_cases @ [ "--json"; "--trace-out"; trace ])));
+  let got = read_file trace in
+  Sys.remove trace;
+  Alcotest.(check string) "gray.trace.json" (read_file "golden/serve/gray.trace.json") got
 
 (* The baselines are a dune dependency of the suite; outside [dune test]
    (e.g. [dune exec test/main.exe -- test fault]) the directory is absent
@@ -114,6 +152,12 @@ let suite =
       let id = s.Msdq_exp.Sweep.id in
       Alcotest.test_case (id ^ " output") `Quick (test_sweep id))
     Msdq_exp.Sweep.registry
+  @ List.map
+      (fun (name, args) ->
+        Alcotest.test_case ("serve " ^ name ^ " output") `Quick
+          (test_text_and_json ~dir:"serve" name (serve_args args)))
+      serve_cases
+  @ [ Alcotest.test_case "serve trace" `Quick test_serve_trace ]
   @ List.map
       (fun file ->
         Alcotest.test_case ("gate on " ^ file) `Quick (test_gate file))
