@@ -14,14 +14,27 @@ type score = {
   blended : float;
 }
 
+type fallback = Breaker_open of int list | Gray of int list
+
 type decision = {
   preferred : Strategy.t;
   chosen : Strategy.t;
   switched : bool;
   scores : score list;
   predictions : Planner.prediction list;
-  reason : string option;
+  fallback : fallback option;
 }
+
+let reason d =
+  let sites l = String.concat "," (List.map string_of_int l) in
+  match d.fallback with
+  | None -> None
+  | Some (Breaker_open l) ->
+    Some (Printf.sprintf "breaker open for site(s) %s: falling back to CA" (sites l))
+  | Some (Gray l) ->
+    Some
+      (Printf.sprintf "check site(s) %s gray (slow but up): falling back to CA"
+         (sites l))
 
 (* How many query observations it takes for the store's evidence to weigh
    as much as the model: beta = w / (w + prior). *)
@@ -112,50 +125,26 @@ let decide ?cost ?store ?(objective = Planner.Response_time) ?(degraded = [])
     List.filter (fun s -> not (List.mem s degraded_targets))
       (targets_among gray)
   in
-  let sites l =
-    String.concat "," (List.map string_of_int (List.sort_uniq compare l))
+  let fallback =
+    match (degraded_targets, gray_targets) with
+    | [], [] -> None
+    | (_ :: _ as l), _ -> Some (Breaker_open (List.sort_uniq compare l))
+    | [], l -> Some (Gray (List.sort_uniq compare l))
   in
-  match (degraded_targets, gray_targets) with
-  | [], [] ->
-    {
-      preferred;
-      chosen = preferred;
-      switched = false;
-      scores;
-      predictions;
-      reason = None;
-    }
-  | (_ :: _), _ ->
-    {
-      preferred;
-      chosen = Strategy.Ca;
-      switched = true;
-      scores;
-      predictions;
-      reason =
-        Some
-          (Printf.sprintf "breaker open for site(s) %s: falling back to CA"
-             (sites degraded_targets));
-    }
-  | [], (_ :: _) ->
-    {
-      preferred;
-      chosen = Strategy.Ca;
-      switched = true;
-      scores;
-      predictions;
-      reason =
-        Some
-          (Printf.sprintf
-             "check site(s) %s gray (slow but up): falling back to CA"
-             (sites gray_targets));
-    }
+  {
+    preferred;
+    chosen = (if fallback = None then preferred else Strategy.Ca);
+    switched = fallback <> None;
+    scores;
+    predictions;
+    fallback;
+  }
 
 let pp_decision ppf d =
   Format.fprintf ppf "@[<v>AUTO chose %s (model preferred %s)%s@,"
     (Strategy.to_string d.chosen)
     (Strategy.to_string d.preferred)
-    (match d.reason with Some r -> " — " ^ r | None -> "");
+    (match reason d with Some r -> " — " ^ r | None -> "");
   List.iter
     (fun s ->
       Format.fprintf ppf "  %-4s predicted %10.0f us  score %.3f%s@,"

@@ -44,14 +44,23 @@ type score = {
   blended : float;  (** the ranking key: smaller is better *)
 }
 
+type fallback =
+  | Breaker_open of int list  (** check sites whose breaker is open *)
+  | Gray of int list  (** check sites detected gray (slow but up) *)
+(** Why a localized preference fell back to CA; sites sorted, distinct. *)
+
 type decision = {
   preferred : Strategy.t;  (** unconstrained argmin of the blended score *)
   chosen : Strategy.t;  (** after degraded-site fallback *)
   switched : bool;  (** [chosen <> preferred] *)
   scores : score list;  (** in {!candidates} order *)
   predictions : Planner.prediction list;  (** raw model predictions *)
-  reason : string option;  (** why the fallback switched, when it did *)
+  fallback : fallback option;  (** why the fallback switched, when it did *)
 }
+
+val reason : decision -> string option
+(** The fallback as text: ["breaker open for site(s) 1,2: falling back to
+    CA"] or ["check site(s) 2 gray (slow but up): falling back to CA"]. *)
 
 val check_sites : Federation.t -> Analysis.t -> int list
 (** Sites a localized execution of this query could target with assistant
@@ -75,8 +84,8 @@ val decide :
     their observed baseline (the serve engine feeds its slow-leg EWMA
     here): a localized preference whose check sites intersect [gray]
     falls back to CA exactly like the degraded fallback, with its own
-    reason ("check site(s) N gray (slow but up): falling back to CA");
-    sites already covered by [degraded] keep the breaker reason. [overload]
+    {!fallback} ([Gray]); sites already covered by [degraded] keep the
+    breaker fallback ([Breaker_open]). [overload]
     (default 0) is a backpressure score — the serve engine feeds queue
     depth and its deadline-miss EWMA here — added to each candidate's
     blended score as [overload * pred_ratio], so rising pressure shifts

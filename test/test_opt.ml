@@ -254,7 +254,7 @@ let test_decide_argmin () =
     "no degraded sites: chosen = preferred, no switch" true
     (d.Optimizer.chosen = d.Optimizer.preferred
     && (not d.Optimizer.switched)
-    && d.Optimizer.reason = None);
+    && Optimizer.reason d = None);
   Alcotest.(check bool)
     "deterministic" true
     (Optimizer.decide fed analysis = d)
@@ -288,7 +288,7 @@ let test_degraded_falls_back_to_ca () =
   Alcotest.check strategy "still prefers PL" Strategy.Pl d.Optimizer.preferred;
   Alcotest.check strategy "but runs CA" Strategy.Ca d.Optimizer.chosen;
   Alcotest.(check bool) "switch recorded" true d.Optimizer.switched;
-  (match d.Optimizer.reason with
+  (match Optimizer.reason d with
   | Some r ->
     Alcotest.(check bool)
       "reason explains the fallback" true (contains r "falling back to CA")
