@@ -224,7 +224,10 @@ type outcome = {
           [("trace", "q<index>")] attribute naming the owning query (a
           coalesced message shared by several queries carries
           [("trace", "batch")]), so per-query causal trees can be
-          recovered from the shared engine's trace. Empty unless {!run}
+          recovered from the shared engine's trace. Site tasks and messages
+          carry the same [db]/[strategy]/[phase] attrs and task names as
+          {!Strategy.run}'s (a coalesced message names a strategy only when
+          all its contributors share one). Empty unless {!run}
           was called with [~trace:true] or [options.telemetry] is set. *)
 }
 

@@ -404,6 +404,58 @@ let serve_outcome () =
   in
   Serve.run Serve.default_config fed jobs
 
+(* Every serve series names its strategy and phase, link series included:
+   per-query messages, and coalesced ones whose contributors share a
+   strategy. Streams mixing strategies without a window, and one strategy
+   under a window that coalesces across queries. *)
+let test_serve_series_labelled () =
+  let module Serve = Msdq_serve.Serve in
+  let fed, analysis = demo_run () in
+  let cfg window =
+    {
+      Serve.default_config with
+      Serve.options = { Strategy.default_options with Strategy.telemetry = true };
+      cache_bytes = 0;
+      window;
+    }
+  in
+  let job i strategy =
+    {
+      Serve.strategy;
+      analysis;
+      arrival = Time.us (float_of_int i *. 100.0);
+      deadline = None;
+    }
+  in
+  List.iter
+    (fun (what, window, strategies) ->
+      let out = Serve.run (cfg window) fed (List.mapi job strategies) in
+      if Time.compare window Time.zero > 0 then
+        Alcotest.(check bool) (what ^ ": checks coalesced") true
+          (out.Serve.coalesced_checks > 0);
+      let series = Metrics.histograms out.Serve.registry in
+      Alcotest.(check bool) (what ^ ": link series recorded") true
+        (List.exists
+           (fun (_, labels, _) -> List.assoc_opt "resource" labels = Some "link")
+           series);
+      List.iter
+        (fun (name, labels, _) ->
+          List.iter
+            (fun key ->
+              if List.assoc_opt key labels = Some "-" then
+                Alcotest.failf "%s: %s{%s} has %s=\"-\"" what name
+                  (String.concat ","
+                     (List.map (fun (k, v) -> k ^ "=" ^ v) labels))
+                  key)
+            [ "strategy"; "phase" ])
+        series)
+    [
+      ( "mixed, no window",
+        Time.zero,
+        [ Strategy.Bl; Strategy.Pl; Strategy.Ca; Strategy.Bls; Strategy.Lo ] );
+      ("BL, 50 ms window", Time.ms 50.0, [ Strategy.Bl; Strategy.Bl; Strategy.Bl ]);
+    ]
+
 let test_store_persists_across_serve_runs () =
   let module Exp = Msdq_exp.Run_report in
   let path = Filename.temp_file "msdq_store_runs" ".json" in
@@ -454,4 +506,6 @@ let suite =
     Alcotest.test_case "dashboard rendering" `Quick test_dashboard_render;
     Alcotest.test_case "store persists across serve runs" `Quick
       test_store_persists_across_serve_runs;
+    Alcotest.test_case "serve series are labelled" `Quick
+      test_serve_series_labelled;
   ]
