@@ -270,13 +270,6 @@ type finished = {
   f_availability : availability;
 }
 
-(* A query's graph built into a (possibly shared) engine. *)
-type built_query = {
-  acc : acc;
-  fence : Engine.handle;  (* completes when the answer is assembled *)
-  finish : unit -> finished;  (* call only after the engine has run *)
-}
-
 (* ------------------------------------------------------------------ *)
 (* Fault-aware execution.
 
@@ -664,38 +657,29 @@ let centralized_tail e acc c fx ~gsite ~(outcome : Ca.outcome) ~xfers
     cpu_task e acc c ~site:gsite ~phase:"P" ~label:"global-eval"
       ~units:eval_units ~deps:[ integrate ] ()
   in
-  let fence =
-    Engine.fence e ~deps:[ eval ]
-      ~attrs:(fence_attrs acc)
-      ~label:"answer" ()
-  in
-  {
-    acc;
-    fence;
-    finish =
-      (fun () ->
-        let ref_answer = outcome.Ca.answer in
-        let final =
-          if fx.f_partial then
-            Answer.demote ref_answer
-              ~goids:(Answer.goids ref_answer Answer.Certain)
-          else ref_answer
-        in
-        {
-          f_answer = final;
-          f_check_requests = 0;
-          f_checks_filtered = 0;
-          f_promoted = 0;
-          f_eliminated = eliminated;
-          f_conflicts = conflicts;
-          f_availability = availability_of fx ~ref_answer ~final_answer:final ();
-        });
-  }
+  ignore
+    (Engine.fence e ~deps:[ eval ] ~attrs:(fence_attrs acc) ~label:"answer" ());
+  fun () ->
+    let ref_answer = outcome.Ca.answer in
+    let final =
+      if fx.f_partial then
+        Answer.demote ref_answer
+          ~goids:(Answer.goids ref_answer Answer.Certain)
+      else ref_answer
+    in
+    {
+      f_answer = final;
+      f_check_requests = 0;
+      f_checks_filtered = 0;
+      f_promoted = 0;
+      f_eliminated = eliminated;
+      f_conflicts = conflicts;
+      f_availability = availability_of fx ~ref_answer ~final_answer:final ();
+    }
 
 (* CA — phase order O (ship everything) -> I (integrate) -> P (evaluate). *)
-let build_ca e ?after ~acc ~tracer ~fx opts fed analysis =
+let build_ca e ~acc ~tracer ~fx opts fed analysis =
   let c = opts.cost in
-  let start_deps = match after with None -> [] | Some h -> [ h ] in
   let involved =
     Involved.compute
       (Global_schema.schema (Federation.global_schema fed))
@@ -711,7 +695,7 @@ let build_ca e ?after ~acc ~tracer ~fx opts fed analysis =
       (fun (db_name, site, bytes) ->
         let read =
           disk_task e acc c ~site ~phase:"O" ~db:db_name ~label:"read-extents"
-            ~bytes ~deps:start_deps ()
+            ~bytes ()
         in
         leg e acc c fx ~critical:true ~src:site ~dst:gsite ~phase:"O"
           ~db:db_name ~label:"ship-objects" ~bytes ~deps:[ read ] ())
@@ -736,9 +720,8 @@ let build_ca e ?after ~acc ~tracer ~fx opts fed analysis =
    is phase I; the final global evaluation is phase P again. Under faults
    every transfer is critical (a lost GOid list or candidate broadcast is as
    fatal as a lost extent). *)
-let build_cf e ?after ~acc ~tracer ~fx opts fed analysis =
+let build_cf e ~acc ~tracer ~fx opts fed analysis =
   let c = opts.cost in
-  let start_deps = match after with None -> [] | Some h -> [ h ] in
   let gs = Federation.global_schema fed in
   let schema = Global_schema.schema gs in
   let involved = Involved.compute schema analysis in
@@ -777,7 +760,7 @@ let build_cf e ?after ~acc ~tracer ~fx opts fed analysis =
         let read_bytes = Wire.localized_read_bytes c involved gs ~db_name ~touched in
         let read =
           disk_task e acc c ~site ~phase:"P" ~db:db_name ~label:"read-extents"
-            ~bytes:read_bytes ~deps:start_deps ()
+            ~bytes:read_bytes ()
         in
         let eval =
           cpu_task e acc c ~site ~phase:"P" ~db:db_name ~label:"local-filter"
@@ -884,6 +867,16 @@ type local_phase = {
   ship_bytes : int;
 }
 
+type check_group = {
+  origin : string;
+  target : string;
+  origin_site : int;
+  target_site : int;
+  requests : Checks.request list;
+}
+
+type local_plan = { phases : local_phase list; groups : check_group list }
+
 let compute_local_phases ~cost ~involved ~signatures ~tracer strategy fed
     analysis =
   let parallel = strategy = Pl || strategy = Pls in
@@ -893,59 +886,133 @@ let compute_local_phases ~cost ~involved ~signatures ~tracer strategy fed
   in
   let gs = Federation.global_schema fed in
   let n_targets = List.length analysis.Analysis.targets in
-  List.map
-    (fun (plan : Localize.db_plan) ->
-      let db = plan.Localize.db in
-      let result, built, probe_units =
-        if parallel then begin
-          (* PL: probe all objects first (phase O), then evaluate (phase P). *)
-          let probe = Probe.run ~tracer fed analysis ~db in
-          let built =
-            Checks.build ?signatures ~tracer fed analysis ~db
-              ~root_class:plan.Localize.local_class ~items:probe.Probe.items
-          in
-          ( Local_eval.run ~tracer fed analysis ~db,
-            built,
-            Some (units_of_work probe.Probe.work) )
-        end
-        else if strategy = Lo then
-          (* LO: evaluation only; phases O and I degenerate to the per-entity
-             merge of local results at the global site. *)
-          (Local_eval.run ~tracer fed analysis ~db, Checks.none, None)
-        else begin
-          (* BL: evaluate first, then look up assistants for the maybe rows. *)
-          let result = Local_eval.run ~tracer fed analysis ~db in
-          let items =
-            List.concat_map
-              (fun (row : Local_result.row) -> row.Local_result.unsolved)
-              result.Local_result.rows
-          in
-          ( result,
-            Checks.build ?signatures ~tracer fed analysis ~db
-              ~root_class:plan.Localize.local_class ~items,
-            None )
-        end
-      in
-      {
-        plan;
-        result;
-        built;
-        site = Federation.site_of fed db;
-        read_bytes =
-          Wire.localized_read_bytes cost involved gs ~db_name:db
-            ~touched:(Touch.count fed analysis ~db);
-        probe_units;
-        (* Local goid lookups for row tagging happen during evaluation. *)
-        eval_units =
-          units_of_work result.Local_result.work
-          + List.length result.Local_result.rows;
-        dispatch_units =
-          built.Checks.goid_lookups + units_of_work built.Checks.work;
-        ship_bytes =
-          Wire.results_bytes cost ~n_targets result
-          + (List.length built.Checks.local_verdicts * Wire.verdict_bytes cost);
-      })
-    (Localize.plan fed analysis)
+  let phases =
+    List.map
+      (fun (plan : Localize.db_plan) ->
+        let db = plan.Localize.db in
+        let result, built, probe_units =
+          if parallel then begin
+            (* PL: probe all objects first (phase O), then evaluate (phase P). *)
+            let probe = Probe.run ~tracer fed analysis ~db in
+            let built =
+              Checks.build ?signatures ~tracer fed analysis ~db
+                ~root_class:plan.Localize.local_class ~items:probe.Probe.items
+            in
+            ( Local_eval.run ~tracer fed analysis ~db,
+              built,
+              Some (units_of_work probe.Probe.work) )
+          end
+          else if strategy = Lo then
+            (* LO: evaluation only; phases O and I degenerate to the per-entity
+               merge of local results at the global site. *)
+            (Local_eval.run ~tracer fed analysis ~db, Checks.none, None)
+          else begin
+            (* BL: evaluate first, then look up assistants for the maybe rows. *)
+            let result = Local_eval.run ~tracer fed analysis ~db in
+            let items =
+              List.concat_map
+                (fun (row : Local_result.row) -> row.Local_result.unsolved)
+                result.Local_result.rows
+            in
+            ( result,
+              Checks.build ?signatures ~tracer fed analysis ~db
+                ~root_class:plan.Localize.local_class ~items,
+              None )
+          end
+        in
+        {
+          plan;
+          result;
+          built;
+          site = Federation.site_of fed db;
+          read_bytes =
+            Wire.localized_read_bytes cost involved gs ~db_name:db
+              ~touched:(Touch.count fed analysis ~db);
+          probe_units;
+          (* Local goid lookups for row tagging happen during evaluation. *)
+          eval_units =
+            units_of_work result.Local_result.work
+            + List.length result.Local_result.rows;
+          dispatch_units =
+            built.Checks.goid_lookups + units_of_work built.Checks.work;
+          ship_bytes =
+            Wire.results_bytes cost ~n_targets result
+            + (List.length built.Checks.local_verdicts * Wire.verdict_bytes cost);
+        })
+      (Localize.plan fed analysis)
+  in
+  {
+    phases;
+    groups =
+      List.map
+        (fun ((origin, target), requests) ->
+          {
+            origin;
+            target;
+            origin_site = Federation.site_of fed origin;
+            target_site = Federation.site_of fed target;
+            requests;
+          })
+        (Checks.batches
+           (List.concat_map (fun ph -> ph.built.Checks.requests) phases));
+  }
+
+type round_trip = {
+  request_bytes : int;
+  read_bytes : int;
+  serve_units : int;
+  verdict_bytes : int;
+}
+
+let round_trip c reqs (s : Checks.served) =
+  {
+    request_bytes = Wire.requests_bytes c reqs;
+    read_bytes = Wire.check_read_bytes c reqs;
+    serve_units = units_of_work s.Checks.work;
+    verdict_bytes = List.length s.Checks.verdicts * Wire.verdict_bytes c;
+  }
+
+(* One database's local chain, in the strategy's phase order: PL/PLS read
+   -> probe -> dispatch -> evaluate (phase O before P), BL/BLS/LO read ->
+   evaluate -> dispatch. [read] replaces the extent read (a cache hit);
+   [name] maps each task's base label to the executor's. Returns the
+   dispatch task, which check requests follow, and the chain's last task,
+   which the result shipment follows. *)
+let local_chain e acc c ?(name = Fun.id) ?read ~deps ph =
+  let db = ph.plan.Localize.db and site = ph.site in
+  let cpu ~phase label units deps =
+    cpu_task e acc c ~site ~phase ~db ~label:(name label) ~units ~deps ()
+  in
+  let read =
+    match read with
+    | Some r -> r
+    | None ->
+      disk_task e acc c ~site ~phase:"P" ~db ~label:(name "read-extents")
+        ~bytes:ph.read_bytes ~deps ()
+  in
+  match ph.probe_units with
+  | Some units ->
+    let dispatch =
+      cpu ~phase:"O" "dispatch-checks" ph.dispatch_units
+        [ cpu ~phase:"O" "probe" units [ read ] ]
+    in
+    (dispatch, cpu ~phase:"P" "local-eval" ph.eval_units [ dispatch ])
+  | None ->
+    let dispatch =
+      cpu ~phase:"O" "dispatch-checks" ph.dispatch_units
+        [ cpu ~phase:"P" "local-eval" ph.eval_units [ read ] ]
+    in
+    (dispatch, dispatch)
+
+(* The target half of a check round trip: read the assistants, evaluate
+   the checks. Returns the evaluation, which the verdicts follow. *)
+let check_tasks e acc c ?(name = Fun.id) ~site ~db rt ~deps =
+  let read =
+    disk_task e acc c ~site ~phase:"O" ~db ~label:(name "check-read")
+      ~bytes:rt.read_bytes ~deps ()
+  in
+  cpu_task e acc c ~site ~phase:"O" ~db ~label:(name "check-eval")
+    ~units:rt.serve_units ~deps:[ read ] ()
 
 (* Per-check-key recovery state: one entry per (origin_db, item, atom)
    check key, shared by every batch — primary, failover or hedge — that
@@ -970,29 +1037,28 @@ type key_state = {
 
    With [options.recovery.failover] set, abandonment is no longer terminal:
    see the recovery block below. *)
-let build_localized e ?after ~acc ~tracer ~fx opts strategy fed analysis =
+let build_localized e ~acc ~tracer ~fx opts strategy fed analysis =
   let c = opts.cost in
-  let start_deps = match after with None -> [] | Some h -> [ h ] in
   let gs = Federation.global_schema fed in
   let involved = Involved.compute (Global_schema.schema gs) analysis in
-  let phases =
+  let { phases; groups } =
     compute_local_phases ~cost:c ~involved
       ~signatures:(lazy (Sig_catalog.build fed))
       ~tracer strategy fed analysis
   in
-  (* Serve the check requests, batched per (origin, target). *)
+  (* Serve every check group at its target. *)
   let served =
     List.map
-      (fun (((_, target) as key), reqs) ->
-        (key, reqs, Checks.serve ~tracer fed ~db:target reqs))
-      (Checks.batches
-         (List.concat_map (fun ph -> ph.built.Checks.requests) phases))
+      (fun g ->
+        let s = Checks.serve ~tracer fed ~db:g.target g.requests in
+        (g, s, round_trip c g.requests s))
+      groups
   in
   let local_verdicts =
     List.concat_map (fun ph -> ph.built.Checks.local_verdicts) phases
   in
   let all_verdicts =
-    local_verdicts @ List.concat_map (fun (_, _, s) -> s.Checks.verdicts) served
+    local_verdicts @ List.concat_map (fun (_, s, _) -> s.Checks.verdicts) served
   in
   let results = List.map (fun ph -> ph.result) phases in
   (* The fault-free reference: what full delivery certifies. The
@@ -1016,49 +1082,21 @@ let build_localized e ?after ~acc ~tracer ~fx opts strategy fed analysis =
   in
   (* ---- Replay onto the simulator. ---- *)
   let gsite = Federation.global_site fed in
-  let dispatch_tasks : (string, Engine.handle) Hashtbl.t = Hashtbl.create 8 in
   let settle_deps = ref [] in
-  List.iter
-    (fun ph ->
-      let db_name = ph.plan.Localize.db in
-      let site = ph.site in
-      let read =
-        disk_task e acc c ~site ~phase:"P" ~db:db_name ~label:"read-extents"
-          ~bytes:ph.read_bytes ~deps:start_deps ()
-      in
-      bump_goid acc ~phase:"O" ph.built.Checks.goid_lookups;
-      let dispatch_task deps =
-        let d =
-          cpu_task e acc c ~site ~phase:"O" ~db:db_name
-            ~label:"dispatch-checks" ~units:ph.dispatch_units ~deps ()
-        in
-        Hashtbl.replace dispatch_tasks db_name d;
-        d
-      in
-      let eval deps =
-        cpu_task e acc c ~site ~phase:"P" ~db:db_name ~label:"local-eval"
-          ~units:ph.eval_units ~deps ()
-      in
-      let dispatch =
-        match ph.probe_units with
-        | Some units ->
-          (* PL: probe + dispatch before evaluation. *)
-          let probe =
-            cpu_task e acc c ~site ~phase:"O" ~db:db_name ~label:"probe" ~units
-              ~deps:[ read ] ()
-          in
-          eval [ dispatch_task [ probe ] ]
-        | None ->
-          (* BL: evaluate, then dispatch. *)
-          dispatch_task [ eval [ read ] ]
-      in
-      let settled =
-        leg e acc c fx ~critical:true ~src:site ~dst:gsite ~phase:"I"
-          ~db:db_name ~label:"ship-results" ~bytes:ph.ship_bytes
-          ~deps:[ dispatch ] ()
-      in
-      settle_deps := settled :: !settle_deps)
-    phases;
+  let dispatch_tasks =
+    List.map
+      (fun ph ->
+        let db_name = ph.plan.Localize.db in
+        bump_goid acc ~phase:"O" ph.built.Checks.goid_lookups;
+        let dispatch, last = local_chain e acc c ~deps:[] ph in
+        settle_deps :=
+          leg e acc c fx ~critical:true ~src:ph.site ~dst:gsite ~phase:"I"
+            ~db:db_name ~label:"ship-results" ~bytes:ph.ship_bytes
+            ~deps:[ last ] ()
+          :: !settle_deps;
+        (db_name, dispatch))
+      phases
+  in
   (* Check round trips. A batch abandoned at either leg loses its verdicts;
      a delivered request batch is served at the target (reads and evaluation
      are unaffected by link faults) and its verdicts travel back under the
@@ -1132,14 +1170,14 @@ let build_localized e ?after ~acc ~tracer ~fx opts strategy fed analysis =
   let route = Hashtbl.create 64 in
   if recovery_on then
     List.iter
-      (fun (_, reqs, _) ->
+      (fun g ->
         List.iter
           (fun (r : Checks.request) ->
             match Hashtbl.find_opt route (key_of r) with
             | Some l -> l := r :: !l
             | None -> Hashtbl.add route (key_of r) (ref [ r ]))
-          reqs)
-      served;
+          g.requests)
+      groups;
   let candidates key =
     match Hashtbl.find_opt route key with
     | Some l -> List.rev !l
@@ -1227,18 +1265,16 @@ let build_localized e ?after ~acc ~tracer ~fx opts strategy fed analysis =
   let speed_factor site =
     match List.assoc_opt site opts.site_speeds with Some f -> f | None -> 1.0
   in
-  let recovery_serve ~site ~db ~label ~disk_bytes ~units ?(deps = []) () =
-    Metrics.inc (ctr acc ~phase:"O" "msdq_disk_bytes_total") disk_bytes;
-    Metrics.inc (ctr acc ~phase:"O" "msdq_work_units_total") units;
+  let recovery_serve ~site ~db ~label rt =
+    Metrics.inc (ctr acc ~phase:"O" "msdq_disk_bytes_total") rt.read_bytes;
+    Metrics.inc (ctr acc ~phase:"O" "msdq_work_units_total") rt.serve_units;
     let duration =
       Time.us
-        ((Time.to_us (Cost.disk c ~bytes:disk_bytes)
-         +. Time.to_us (Cost.cpu c ~units))
+        ((Time.to_us (Cost.disk c ~bytes:rt.read_bytes)
+         +. Time.to_us (Cost.cpu c ~units:rt.serve_units))
         /. speed_factor site)
     in
-    Engine.delay e ~label
-      ~attrs:(task_attrs acc ~phase:"O" ~db ())
-      ~duration ~deps ()
+    Engine.delay e ~label ~attrs:(task_attrs acc ~phase:"O" ~db ()) ~duration ()
   in
   (* Dispatch [reqs] (all [origin] -> [tdb]) as a recovery batch; [settle]
      runs exactly once, when the batch and everything it spawned (deeper
@@ -1252,6 +1288,7 @@ let build_localized e ?after ~acc ~tracer ~fx opts strategy fed analysis =
     let osite = Federation.site_of fed origin in
     let tsite = Federation.site_of fed tdb in
     let s = Checks.serve ~tracer fed ~db:tdb reqs in
+    let rt = round_trip c reqs s in
     let outstanding = ref 1 in
     let done_one () =
       decr outstanding;
@@ -1301,21 +1338,19 @@ let build_localized e ?after ~acc ~tracer ~fx opts strategy fed analysis =
       (recovery_transfer e acc c fx ?breaker ~src:osite
          ~dst:tsite ~phase:"O" ~db:tdb
          ~label:(Printf.sprintf "ship-requests~%s%d" tag seq)
-         ~bytes:(Wire.requests_bytes c reqs)
+         ~bytes:rt.request_bytes
          ~k:(fun delivered ->
            if not delivered then abandon ()
            else begin
              let serve =
                recovery_serve ~site:tsite ~db:tdb
-                 ~label:(Printf.sprintf "check-serve~%s%d" tag seq)
-                 ~disk_bytes:(Wire.check_read_bytes c reqs)
-                 ~units:(units_of_work s.Checks.work) ()
+                 ~label:(Printf.sprintf "check-serve~%s%d" tag seq) rt
              in
              ignore
                (recovery_transfer e acc c fx ~src:tsite
                   ~dst:gsite ~phase:"O" ~db:tdb
                   ~label:(Printf.sprintf "ship-verdicts~%s%d" tag seq)
-                  ~bytes:(List.length s.Checks.verdicts * Wire.verdict_bytes c)
+                  ~bytes:rt.verdict_bytes
                   ~deps:[ serve ]
                   ~k:(fun delivered ->
                     if delivered then begin
@@ -1355,10 +1390,8 @@ let build_localized e ?after ~acc ~tracer ~fx opts strategy fed analysis =
         groups
   in
   List.iteri
-    (fun bi ((origin, target), reqs, (s : Checks.served)) ->
-      let osite = Federation.site_of fed origin in
-      let tsite = Federation.site_of fed target in
-      let dispatch = Hashtbl.find dispatch_tasks origin in
+    (fun bi ({ origin; target; origin_site; target_site; requests = reqs }, _, rt) ->
+      let dispatch = List.assoc origin dispatch_tasks in
       let chain =
         leg_chain e fx ~label:(Printf.sprintf "checks:%s->%s" origin target)
         @@ fun ~settle ->
@@ -1377,27 +1410,20 @@ let build_localized e ?after ~acc ~tracer ~fx opts strategy fed analysis =
                   ~hedge:false ~settle:(fun () -> settle []))
         in
         ignore
-          (leg e acc c fx ?breaker ~critical:false ~src:osite ~dst:tsite
-             ~phase:"O" ~db:target ~label:"ship-requests"
-             ~bytes:(Wire.requests_bytes c reqs) ~deps:[ dispatch ]
+          (leg e acc c fx ?breaker ~critical:false ~src:origin_site
+             ~dst:target_site ~phase:"O" ~db:target ~label:"ship-requests"
+             ~bytes:rt.request_bytes ~deps:[ dispatch ]
              ~k:(fun delivered ~after ->
                if not delivered then abandon ()
                else begin
-                 let read =
-                   disk_task e acc c ~site:tsite ~phase:"O" ~db:target
-                     ~label:"check-read" ~bytes:(Wire.check_read_bytes c reqs)
-                     ~deps:after ()
-                 in
                  let eval =
-                   cpu_task e acc c ~site:tsite ~phase:"O" ~db:target
-                     ~label:"check-eval" ~units:(units_of_work s.Checks.work)
-                     ~deps:[ read ] ()
+                   check_tasks e acc c ~site:target_site ~db:target rt
+                     ~deps:after
                  in
                  ignore
-                   (leg e acc c fx ~critical:false ~src:tsite ~dst:gsite
+                   (leg e acc c fx ~critical:false ~src:target_site ~dst:gsite
                       ~phase:"O" ~db:target ~label:"ship-verdicts"
-                      ~bytes:(List.length s.Checks.verdicts * Wire.verdict_bytes c)
-                      ~deps:[ eval ]
+                      ~bytes:rt.verdict_bytes ~deps:[ eval ]
                       ~k:(fun delivered ~after ->
                         if delivered then begin
                           batch_delivered.(bi) <- true;
@@ -1419,8 +1445,7 @@ let build_localized e ?after ~acc ~tracer ~fx opts strategy fed analysis =
   in
   let certified = ref certified_ref in
   let deep = ref deep_ref in
-  let fence =
-    answer_after e acc fx ~deps:(List.rev !settle_deps) @@ fun ~after ->
+  let tail ~after =
     (* verdicts recovered by failover/hedge batches; duplicates of delivered
        primaries cannot arise (recovery only targets unanswered keys), and a
        hedge racing its failover twin yields independent per-target
@@ -1430,7 +1455,7 @@ let build_localized e ?after ~acc ~tracer ~fx opts strategy fed analysis =
         local_verdicts
         @ List.concat
             (List.mapi
-               (fun bi (_, _, (s : Checks.served)) ->
+               (fun bi (_, (s : Checks.served), _) ->
                  if batch_delivered.(bi) then s.Checks.verdicts else [])
                served)
         @ List.concat (List.rev !extra_verdicts)
@@ -1481,6 +1506,7 @@ let build_localized e ?after ~acc ~tracer ~fx opts strategy fed analysis =
       cpu_task e acc c ~site:gsite ~phase:"I" ~label:"deep-certify"
         ~units:(units_of_work deep.Deep.work) ~deps:deep_deps ()
   in
+  ignore (answer_after e acc fx ~deps:(List.rev !settle_deps) tail);
   let check_requests =
     List.fold_left (fun n ph -> n + List.length ph.built.Checks.requests) 0 phases
   in
@@ -1522,158 +1548,153 @@ let build_localized e ?after ~acc ~tracer ~fx opts strategy fed analysis =
   let affected () =
     let abandoned_keys = Hashtbl.create 16 in
     List.iteri
-      (fun bi (_, reqs, _) ->
+      (fun bi g ->
         if not batch_delivered.(bi) then
           List.iter
             (fun (r : Checks.request) ->
               Hashtbl.replace abandoned_keys (r.Checks.origin_db, r.Checks.item) ())
-            reqs)
-      served;
+            g.requests)
+      groups;
     rows_with_items abandoned_keys
   in
-  {
-    acc;
-    fence;
-    finish =
-      (fun () ->
-        let cf = !certified in
-        let pre =
-          match !deep with
-          | Some d -> d.Deep.answer
-          | None -> cf.Certify.answer
+  fun () ->
+    let cf = !certified in
+    let pre =
+      match !deep with
+      | Some d -> d.Deep.answer
+      | None -> cf.Certify.answer
+    in
+    (* Suspect promotions (certain although the reference is not — a
+       lost eliminating verdict) and resurrections (eliminated by the
+       reference but kept as maybe here) are always demoted/marked. *)
+    let base () =
+      let refc = Answer.goids ref_answer Answer.Certain in
+      let refm = Answer.goids ref_answer Answer.Maybe in
+      Oid.Goid.Set.union
+        (Oid.Goid.Set.diff (Answer.goids pre Answer.Certain) refc)
+        (Oid.Goid.Set.diff (Answer.goids pre Answer.Maybe)
+           (Oid.Goid.Set.union refc refm))
+    in
+    let mark, recovered_rows =
+      if fx.f_partial then
+        (Oid.Goid.Set.union (base ()) (Answer.goids pre Answer.Certain),
+         Oid.Goid.Set.empty)
+      else if all_delivered () then
+        (* [pre] is the reference itself: nothing to demote *)
+        (Oid.Goid.Set.empty, Oid.Goid.Set.empty)
+      else if not recovery_on then
+        (Oid.Goid.Set.union (base ()) (affected ()), Oid.Goid.Set.empty)
+      else begin
+        (* With failover, a key only demotes its rows if it ended the
+           run unanswered — no batch, primary or recovery, delivered a
+           verdict for it. Rows that were touched by an abandonment but
+           whose keys all got answered after all are the recovery win,
+           reported as [recovered]. *)
+        let failed_items = Hashtbl.create 16 in
+        let unanswered_items = Hashtbl.create 16 in
+        Hashtbl.iter
+          (fun (origin, item, _atom) ks ->
+            if ks.k_failed then
+              Hashtbl.replace failed_items (origin, item) ();
+            if not ks.answered then
+              Hashtbl.replace unanswered_items (origin, item) ())
+          kstates;
+        let mark =
+          Oid.Goid.Set.union (base ()) (rows_with_items unanswered_items)
         in
-        (* Suspect promotions (certain although the reference is not — a
-           lost eliminating verdict) and resurrections (eliminated by the
-           reference but kept as maybe here) are always demoted/marked. *)
-        let base () =
-          let refc = Answer.goids ref_answer Answer.Certain in
-          let refm = Answer.goids ref_answer Answer.Maybe in
-          Oid.Goid.Set.union
-            (Oid.Goid.Set.diff (Answer.goids pre Answer.Certain) refc)
-            (Oid.Goid.Set.diff (Answer.goids pre Answer.Maybe)
-               (Oid.Goid.Set.union refc refm))
+        (mark, Oid.Goid.Set.diff (rows_with_items failed_items) mark)
+      end
+    in
+    fx.f_recovered <- Oid.Goid.Set.cardinal recovered_rows;
+    let final =
+      if Oid.Goid.Set.is_empty mark then pre else Answer.demote pre ~goids:mark
+    in
+    let final =
+      if not recovery_on then final
+      else begin
+        (* Failover-chain provenance for the rows that still demoted. *)
+        let chain_of = Hashtbl.create 16 in
+        List.iter
+          (fun ((origin, item, _atom) as key) ->
+            let ks = kstate key in
+            if (not ks.answered) && not (Hashtbl.mem chain_of (origin, item))
+            then begin
+              let hops = List.rev ks.chain in
+              let why =
+                match hops with
+                | [] -> "check dropped; no live replica to re-route to"
+                | hops ->
+                  "check dropped; " ^ String.concat "; " hops
+                  ^ "; no live replica answered"
+              in
+              Hashtbl.add chain_of (origin, item) why
+            end)
+          (List.rev !korder);
+        let reasons =
+          List.concat_map
+            (fun ph ->
+              List.filter_map
+                (fun (row : Local_result.row) ->
+                  if Oid.Goid.Set.mem row.Local_result.goid (Answer.degraded final)
+                  then
+                    List.find_map
+                      (fun (u : Local_result.unsolved) ->
+                        Hashtbl.find_opt chain_of
+                          (row.Local_result.db,
+                           Dbobject.loid u.Local_result.item))
+                      row.Local_result.unsolved
+                    |> Option.map (fun why ->
+                           (row.Local_result.goid, Answer.Fault why))
+                  else None)
+                ph.result.Local_result.rows)
+            phases
         in
-        let mark, recovered_rows =
-          if fx.f_partial then
-            (Oid.Goid.Set.union (base ()) (Answer.goids pre Answer.Certain),
-             Oid.Goid.Set.empty)
-          else if all_delivered () then
-            (* [pre] is the reference itself: nothing to demote *)
-            (Oid.Goid.Set.empty, Oid.Goid.Set.empty)
-          else if not recovery_on then
-            (Oid.Goid.Set.union (base ()) (affected ()), Oid.Goid.Set.empty)
-          else begin
-            (* With failover, a key only demotes its rows if it ended the
-               run unanswered — no batch, primary or recovery, delivered a
-               verdict for it. Rows that were touched by an abandonment but
-               whose keys all got answered after all are the recovery win,
-               reported as [recovered]. *)
-            let failed_items = Hashtbl.create 16 in
-            let unanswered_items = Hashtbl.create 16 in
-            Hashtbl.iter
-              (fun (origin, item, _atom) ks ->
-                if ks.k_failed then
-                  Hashtbl.replace failed_items (origin, item) ();
-                if not ks.answered then
-                  Hashtbl.replace unanswered_items (origin, item) ())
-              kstates;
-            let mark =
-              Oid.Goid.Set.union (base ()) (rows_with_items unanswered_items)
-            in
-            (mark, Oid.Goid.Set.diff (rows_with_items failed_items) mark)
-          end
-        in
-        fx.f_recovered <- Oid.Goid.Set.cardinal recovered_rows;
-        let final =
-          if Oid.Goid.Set.is_empty mark then pre else Answer.demote pre ~goids:mark
-        in
-        let final =
-          if not recovery_on then final
-          else begin
-            (* Failover-chain provenance for the rows that still demoted. *)
-            let chain_of = Hashtbl.create 16 in
-            List.iter
-              (fun ((origin, item, _atom) as key) ->
-                let ks = kstate key in
-                if (not ks.answered) && not (Hashtbl.mem chain_of (origin, item))
-                then begin
-                  let hops = List.rev ks.chain in
-                  let why =
-                    match hops with
-                    | [] -> "check dropped; no live replica to re-route to"
-                    | hops ->
-                      "check dropped; " ^ String.concat "; " hops
-                      ^ "; no live replica answered"
-                  in
-                  Hashtbl.add chain_of (origin, item) why
-                end)
-              (List.rev !korder);
-            let reasons =
-              List.concat_map
-                (fun ph ->
-                  List.filter_map
-                    (fun (row : Local_result.row) ->
-                      if Oid.Goid.Set.mem row.Local_result.goid (Answer.degraded final)
-                      then
-                        List.find_map
-                          (fun (u : Local_result.unsolved) ->
-                            Hashtbl.find_opt chain_of
-                              (row.Local_result.db,
-                               Dbobject.loid u.Local_result.item))
-                          row.Local_result.unsolved
-                        |> Option.map (fun why ->
-                               (row.Local_result.goid, Answer.Fault why))
-                      else None)
-                    ph.result.Local_result.rows)
-                phases
-            in
-            Answer.annotate_degraded final ~reasons
-          end
-        in
-        if recovery_on then begin
-          let bc name v =
-            Metrics.inc
-              (Metrics.counter acc.reg ~labels:[ ("strategy", acc.sname) ] name)
-              v
-          in
-          (match breaker with
-           | Some b ->
-             bc "msdq_breaker_opened_total" (Recovery.Breaker.opened_total b);
-             bc "msdq_breaker_probes_total" (Recovery.Breaker.probes_total b);
-             bc "msdq_gray_slow_trips_total" (Recovery.Breaker.slow_total b)
-           | None -> ());
-          bc "msdq_recovery_failovers_total" fx.f_failovers;
-          bc "msdq_recovery_hedges_total" fx.f_hedges;
-          bc "msdq_recovery_recovered_total" fx.f_recovered;
-          bc "msdq_gray_slow_legs_total" fx.f_slow
-        end;
-        {
-          f_answer = final;
-          f_check_requests = check_requests;
-          f_checks_filtered = checks_filtered;
-          f_promoted = cf.Certify.promoted;
-          f_eliminated = cf.Certify.eliminated;
-          f_conflicts = cf.Certify.conflicts;
-          f_availability =
-            availability_of fx ~recovered:fx.f_recovered ~ref_answer
-              ~final_answer:final ();
-        });
-  }
+        Answer.annotate_degraded final ~reasons
+      end
+    in
+    if recovery_on then begin
+      let bc name v =
+        Metrics.inc
+          (Metrics.counter acc.reg ~labels:[ ("strategy", acc.sname) ] name)
+          v
+      in
+      (match breaker with
+       | Some b ->
+         bc "msdq_breaker_opened_total" (Recovery.Breaker.opened_total b);
+         bc "msdq_breaker_probes_total" (Recovery.Breaker.probes_total b);
+         bc "msdq_gray_slow_trips_total" (Recovery.Breaker.slow_total b)
+       | None -> ());
+      bc "msdq_recovery_failovers_total" fx.f_failovers;
+      bc "msdq_recovery_hedges_total" fx.f_hedges;
+      bc "msdq_recovery_recovered_total" fx.f_recovered;
+      bc "msdq_gray_slow_legs_total" fx.f_slow
+    end;
+    {
+      f_answer = final;
+      f_check_requests = check_requests;
+      f_checks_filtered = checks_filtered;
+      f_promoted = cf.Certify.promoted;
+      f_eliminated = cf.Certify.eliminated;
+      f_conflicts = cf.Certify.conflicts;
+      f_availability =
+        availability_of fx ~recovered:fx.f_recovered ~ref_answer
+          ~final_answer:final ();
+    }
 
 (* ------------------------------------------------------------------ *)
 
-let build e ?after ?trace_id ~reg ~tracer options strategy fed analysis =
-  let acc = new_acc ?trace_id reg strategy in
+let build e ~reg ~tracer options strategy fed analysis =
+  let acc = new_acc reg strategy in
   Tracer.with_span tracer ~cat:"build"
     ~args:[ ("strategy", acc.sname) ]
     ("build:" ^ acc.sname)
   @@ fun () ->
   let fx = new_fault_ctx options in
   match strategy with
-  | Ca -> build_ca e ?after ~acc ~tracer ~fx options fed analysis
+  | Ca -> build_ca e ~acc ~tracer ~fx options fed analysis
   | Bl | Pl | Bls | Pls | Lo ->
-    build_localized e ?after ~acc ~tracer ~fx options strategy fed analysis
-  | Cf -> build_cf e ?after ~acc ~tracer ~fx options fed analysis
+    build_localized e ~acc ~tracer ~fx options strategy fed analysis
+  | Cf -> build_cf e ~acc ~tracer ~fx options fed analysis
 
 let finalize_registry reg strategy ~total ~response =
   let labels = [ ("strategy", to_string strategy) ] in
@@ -1725,9 +1746,9 @@ let run ?(options = default_options) strategy fed analysis =
   let e = Engine.create ~trace:true () in
   apply_site_speeds e options.site_speeds;
   Fault.install options.fault e;
-  let b = build e ~reg ~tracer options strategy fed analysis in
+  let finish = build e ~reg ~tracer options strategy fed analysis in
   Engine.run e;
-  let f = b.finish () in
+  let f = finish () in
   let stats = Engine.stats e in
   let total = Stats.total_busy stats in
   let response = Stats.makespan stats in
