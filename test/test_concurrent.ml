@@ -8,6 +8,7 @@ open Msdq_query
 open Msdq_exec
 open Msdq_workload
 module Serve = Msdq_serve.Serve
+module Fault = Msdq_fault.Fault
 
 let setup () =
   let ex = Paper_example.build () in
@@ -29,8 +30,9 @@ let cold =
 
 (* Jobs are (strategy, analysis, arrival); the outcome carries the engine
    trace so busy work can be summed. *)
-let serve fed jobs =
-  Serve.run ~trace:true cold fed
+let serve ?(fault = Fault.none) fed jobs =
+  let options = { cold.Serve.options with Strategy.fault } in
+  Serve.run ~trace:true { cold with Serve.options } fed
     (List.map
        (fun (strategy, analysis, arrival) ->
          { Serve.strategy; analysis; arrival; deadline = None })
@@ -68,9 +70,36 @@ let rec make_case seed attempt =
     | analysis -> Some (fed, analysis)
     | exception Analysis.Error _ -> make_case seed (attempt + 1)
 
+(* Random slowdown windows sized to a run of [horizon]: one to three slowed
+   sites among [0, sites), each with one window inside the run and a
+   service-time factor in [1.5, 4): windows start in the first 60% of the
+   run and last 20-100% of it. Lossy links and crashes stay out: serve
+   fates them at admission and Strategy.run at transfer time, by design. *)
+let slowdown_schedule rng ~sites ~horizon =
+  let h = Time.to_us horizon in
+  let slowed =
+    List.sort_uniq compare
+      (List.init (Rng.range rng ~lo:1 ~hi:3) (fun _ -> Rng.int rng ~bound:sites))
+  in
+  {
+    Fault.none with
+    Fault.slowdowns =
+      List.map
+        (fun slow_site ->
+          let down = Rng.frange rng ~lo:0.0 ~hi:(0.6 *. h) in
+          let up = down +. Rng.frange rng ~lo:(0.2 *. h) ~hi:h in
+          {
+            Fault.slow_site;
+            factor = Rng.frange rng ~lo:1.5 ~hi:4.0;
+            busy = [ { Fault.down = Time.us down; up = Time.us up } ];
+          })
+        slowed;
+  }
+
 (* One query alone behaves exactly like Strategy.run: same answer, its
-   latency is the solo response time and its busy work the solo total. CF
-   has no serve-path integration. *)
+   latency is the solo response time and its busy work the solo total —
+   fault-free, and under random slowdown windows over the run. CF has no
+   serve-path integration. *)
 let prop_single_job_equals_run =
   QCheck.Test.make ~name:"single job equals run" ~count:40
     QCheck.(int_bound 100_000)
@@ -78,29 +107,45 @@ let prop_single_job_equals_run =
       match make_case seed 0 with
       | None -> true
       | Some (fed, analysis) ->
+        let sites = List.length (Federation.databases fed) + 1 in
+        let rng = Rng.create ~seed in
         List.for_all
           (fun s ->
-            let solo_answer, solo = Strategy.run s fed analysis in
-            let out = serve fed [ (s, analysis, Time.zero) ] in
-            match out.Serve.reports with
-            | [ r ] ->
-              let ok =
-                String.equal
-                  (Serve.answer_fingerprint solo_answer)
-                  (Serve.answer_fingerprint r.Serve.answer)
-                && Float.abs (Time.to_us solo.Strategy.response -. latency_us r)
-                   < 1e-6
-                && Float.abs (Time.to_us solo.Strategy.total -. busy out) < 1e-6
-              in
-              if not ok then
-                Printf.eprintf
-                  "single job differs from Strategy.run: %s, case seed %d \
-                   (replay: QCHECK_SEED=%s dune exec test/main.exe -- test \
-                   exec.concurrent)\n%!"
-                  (Strategy.to_string s) seed
-                  (Option.value ~default:"<random>" (Sys.getenv_opt "QCHECK_SEED"));
-              ok
-            | _ -> false)
+            let _, fault_free = Strategy.run s fed analysis in
+            let slowed =
+              slowdown_schedule rng ~sites ~horizon:fault_free.Strategy.response
+            in
+            List.for_all
+              (fun (what, fault) ->
+                let solo_answer, solo =
+                  Strategy.run
+                    ~options:{ Strategy.default_options with Strategy.fault }
+                    s fed analysis
+                in
+                let out = serve ~fault fed [ (s, analysis, Time.zero) ] in
+                match out.Serve.reports with
+                | [ r ] ->
+                  let ok =
+                    String.equal
+                      (Serve.answer_fingerprint solo_answer)
+                      (Serve.answer_fingerprint r.Serve.answer)
+                    && Float.abs
+                         (Time.to_us solo.Strategy.response -. latency_us r)
+                       < 1e-6
+                    && Float.abs (Time.to_us solo.Strategy.total -. busy out)
+                       < 1e-6
+                  in
+                  if not ok then
+                    Printf.eprintf
+                      "single job differs from Strategy.run: %s %s, case seed \
+                       %d (replay: QCHECK_SEED=%s dune exec test/main.exe -- \
+                       test exec.concurrent)\n%!"
+                      (Strategy.to_string s) what seed
+                      (Option.value ~default:"<random>"
+                         (Sys.getenv_opt "QCHECK_SEED"));
+                  ok
+                | _ -> false)
+              [ ("fault-free", Fault.none); ("slowed", slowed) ])
           (List.filter (fun s -> s <> Strategy.Cf) Strategy.all))
 
 (* Two simultaneous queries interfere: each one's latency is at least its
