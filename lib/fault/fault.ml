@@ -184,16 +184,17 @@ let jitter_draw s ~dst ~label ~start =
    stretch by the link's inflation factor and the deterministic jitter draw,
    then doom the transfer if the destination is down at the stretched finish,
    a one-way partition cuts the direction of travel, or the loss draw fires. *)
-let link_fate s ?src ~dst ~label ~start ~duration () =
-  let duration =
-    let mult =
-      (match link_of s dst with
-      | Some lf when lf.inflate > 1.0 -> lf.inflate
-      | Some _ | None -> 1.0)
-      *. jitter_draw s ~dst ~label ~start
-    in
-    if mult > 1.0 then Time.us (Time.to_us duration *. mult) else duration
+let link_duration s ~dst ~label ~start ~duration =
+  let mult =
+    (match link_of s dst with
+    | Some lf when lf.inflate > 1.0 -> lf.inflate
+    | Some _ | None -> 1.0)
+    *. jitter_draw s ~dst ~label ~start
   in
+  if mult > 1.0 then Time.us (Time.to_us duration *. mult) else duration
+
+let link_fate s ?src ~dst ~label ~start ~duration () =
+  let duration = link_duration s ~dst ~label ~start ~duration in
   let finish = Time.add start duration in
   let drop =
     if site_down s ~site:dst ~at:finish then

@@ -123,6 +123,14 @@ val jitter_draw : schedule -> dst:int -> label:string -> start:Time.t -> float
     transfer identity as {!drop_draw} (and with the same order-independence
     contract). 1.0 when the destination's link has no jitter. *)
 
+val link_duration :
+  schedule -> dst:int -> label:string -> start:Time.t -> duration:Time.t ->
+  Time.t
+(** A link transfer's [duration] stretched by the destination link's
+    inflation factor and the transfer's deterministic jitter draw — the
+    duration half of {!link_fate}, for callers that fate drops
+    elsewhere. *)
+
 val link_fate :
   schedule ->
   ?src:int ->
